@@ -8,8 +8,7 @@ predict when either pays off.
 from .grid import (CompressedGrid, FillPattern, GridDims, GridError, TwoGrid,
                    allocate, dump_field, extract_layers, inject_layers,
                    load_field)
-from .kernel import (stencil_point, sweep_naive, sweep_spatial_blocked,
-                     update_block)
+from .kernel import sweep_naive, sweep_spatial_blocked
 from .pipeline import (BlockSchedule, PipelineConfig, PipelineTimeout,
                        ScheduleError, ThreadCounters, audit_trace,
                        build_schedule, default_block_size, instrumented_run,

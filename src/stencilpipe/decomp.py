@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FillPattern, GridDims, TwoGrid, extract_layers, inject_layers
-from .pipeline import PipelineConfig, run_node_sweeps
-from .kernel import update_region
+from .pipeline import BlockSchedule, PipelineConfig, run_node_sweeps, run_schedule
+# Not called here: perfbench/tracer.py patches decomp.update_region, so the
+# name stays bound.
+from .kernel import update_region  # noqa: F401
 from .transport import Endpoint, MessageHeader, PHASE_CODES, spawn_world
 
 
@@ -211,8 +213,8 @@ def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
 
     With a pipeline config, the per-level extended domains are handed to
     the pipelined engine as its node-sweep domains (h must equal U).
-    Without one, levels run serially -- the engine used for h=1 and as an
-    independent cross-check.
+    Without one, the serial executor runs all h levels over a single block
+    of those domains -- the engine used for h=1 and as a cross-check.
     """
     if h is None:
         if cfg is None:
@@ -229,12 +231,8 @@ def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
                 f"pipeline applies U={cfg.levels_per_sweep} levels, halo is {h}")
         run_node_sweeps(grid, cfg, 1, level_domains=domains)
     else:
-        arrays = grid.arrays()
-        g = grid.dims.ghost
-        for tau, (lo, hi) in enumerate(domains, start=1):
-            update_region(arrays[(tau - 1) % 2], arrays[tau % 2], g, lo, hi)
-        if h % 2 == 1:
-            grid.swap()
+        edges = [[lo, hi] for lo, hi in zip(*domains[0])]
+        run_schedule(grid, BlockSchedule(domains, edges, -1))
 
 
 def run_distributed(global_dims: GridDims, pattern: FillPattern,

@@ -125,7 +125,6 @@ class TwoGrid:
 
     def __init__(self, dims: GridDims, pattern: FillPattern):
         self.dims = dims
-        self.pattern = pattern
         g = dims.ghost
         lo = tuple(-g for _ in range(3))
         hi = tuple(n + g for n in dims.shape)
@@ -180,13 +179,17 @@ class CompressedGrid:
         if max(extents) ** 3 > np.iinfo(np.int64).max // 8:
             raise GridError("compressed allocation overflows address arithmetic")
         self.dims = dims
-        self.pattern = pattern
         self.slack = slack
         self.offset = slack
         self.data = np.zeros(extents, dtype=np.float64)
         box = pattern.evaluate((-1, -1, -1), tuple(n + 1 for n in dims.shape))
         sl = tuple(slice(slack, slack + n + 2) for n in dims.shape)
         self.data[sl] = box
+        # Dirichlet ghost faces (low, high) per array axis, each one layer
+        # thick along its axis; the compressed kernel restores the shell
+        # from these as the origin moves.
+        self.faces = [(np.take(box, [0], axis=d), np.take(box, [-1], axis=d))
+                      for d in range(3)]
 
     def shift_origin(self, delta: int) -> None:
         new = self.offset + delta

@@ -1,9 +1,10 @@
-"""Jacobi point update and the serial sweep variants.
+"""Jacobi region updates and the serial sweep variants.
 
 ``sweep_naive`` is the correctness oracle for every other engine in the
-package.  All variants share one per-cell summation order,
-((x-)+(x+)) + ((y-)+(y+)) + ((z-)+(z+)) then * 1/6, so results agree
-bitwise whenever only the traversal order differs.
+package; ``sweep_spatial_blocked`` runs a one-level block schedule through
+the serial executor ``pipeline.run_schedule``.  All variants share one
+per-cell summation order, ((x-)+(x+)) + ((y-)+(y+)) + ((z-)+(z+)) then
+* 1/6, so results agree bitwise whenever only the traversal order differs.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ import numpy as np
 from .grid import CompressedGrid, GridError, TwoGrid
 
 ONE_SIXTH = 1.0 / 6.0
-
-
-def stencil_point(xm, xp, ym, yp, zm, zp) -> float:
-    """Mean of the six face neighbors in the fixed summation order."""
-    return ((xm + xp) + (ym + yp) + (zm + zp)) * ONE_SIXTH
 
 
 def _sh(s: slice, d: int) -> slice:
@@ -59,25 +55,18 @@ def block_edges(extent: int, block: int) -> list[int]:
 def sweep_spatial_blocked(grid: TwoGrid, bs: tuple[int, int, int]) -> None:
     """Spatially blocked sweep; block size given as (bx, by, bz).
 
-    Traversal is z outer, y middle, x inner over blocks.  Bitwise equal to
-    ``sweep_naive`` because the per-cell arithmetic is unchanged.
+    Runs a one-level block schedule (z outer, y middle, x inner over blocks)
+    through the serial executor.  Bitwise equal to ``sweep_naive`` because
+    the per-cell arithmetic is unchanged.
     """
+    from .pipeline import PipelineConfig, build_schedule, run_schedule
+
     d = grid.dims
-    bx, by, bz = bs
-    for b, n in zip((bx, by, bz), (d.nx, d.ny, d.nz)):
+    for b, n in zip(bs, (d.nx, d.ny, d.nz)):
         if not 1 <= b <= n:
             raise GridError(f"block size {bs} outside interior extents")
-    ez = block_edges(d.nz, bz)
-    ey = block_edges(d.ny, by)
-    ex = block_edges(d.nx, bx)
-    src, dst = grid.current, grid.other
-    for iz in range(len(ez) - 1):
-        for iy in range(len(ey) - 1):
-            for ix in range(len(ex) - 1):
-                update_region(src, dst, d.ghost,
-                              (ez[iz], ey[iy], ex[ix]),
-                              (ez[iz + 1], ey[iy + 1], ex[ix + 1]))
-    grid.swap()
+    cfg = PipelineConfig(updates_per_thread=1, block=bs)
+    run_schedule(grid, build_schedule(d, cfg))
 
 
 def _refresh_compressed_ghosts(grid: CompressedGrid, lo, hi, o_read: int) -> None:
@@ -86,20 +75,22 @@ def _refresh_compressed_ghosts(grid: CompressedGrid, lo, hi, o_read: int) -> Non
     The ghost ring travels with the shifting origin, and a given array cell
     serves different logical boundary cells at different levels, so the
     boundary values must be restored right before each block update that
-    touches the domain edge.
+    touches the domain edge.  They are copied from the faces the grid
+    cached at allocation.
     """
     n = grid.dims.shape
     base = o_read + 1
     for d in range(3):
-        for boundary, touches in ((-1, lo[d] == 0), (n[d], hi[d] == n[d])):
+        low, high = grid.faces[d]
+        for face, boundary, touches in ((low, -1, lo[d] == 0),
+                                        (high, n[d], hi[d] == n[d])):
             if not touches:
                 continue
-            blo = list(lo)
-            bhi = list(hi)
-            blo[d] = boundary
-            bhi[d] = boundary + 1
-            sl = tuple(slice(l + base, h + base) for l, h in zip(blo, bhi))
-            grid.data[sl] = grid.pattern.evaluate(blo, bhi)
+            src = [slice(l + 1, h + 1) for l, h in zip(lo, hi)]
+            dst = [slice(l + base, h + base) for l, h in zip(lo, hi)]
+            src[d] = slice(0, 1)
+            dst[d] = slice(boundary + base, boundary + base + 1)
+            grid.data[tuple(dst)] = face[tuple(src)]
 
 
 def update_region_compressed(grid: CompressedGrid, lo, hi, o_read: int,
@@ -119,29 +110,3 @@ def update_region_compressed(grid: CompressedGrid, lo, hi, o_read: int,
     dst = tuple(slice(l + base + direction, h + base + direction)
                 for l, h in zip(lo, hi))
     grid.data[dst] = stencil_region(grid.data, center)
-
-
-def update_block(grid, lo, hi, level: int = 1, direction: int = -1) -> None:
-    """Update one region for one time level.
-
-    Two-grid mode: level parity selects source/destination (level 1 reads
-    the current array); no swap is performed.  Compressed mode: reads at the
-    offset implied by ``level`` relative to the current origin and writes at
-    the shifted location; origin bookkeeping is the caller's job (see
-    ``CompressedGrid.shift_origin``).
-    """
-    d = grid.dims
-    for l, h, n in zip(lo, hi, d.shape):
-        if l > h:
-            raise GridError(f"malformed region {lo}..{hi}")
-    if isinstance(grid, TwoGrid):
-        for l, h, n in zip(lo, hi, d.shape):
-            if l < -d.ghost + 1 or h > n + d.ghost - 1:
-                raise GridError("region escapes allocation")
-        arrays = (grid.current, grid.other)
-        src = arrays[(level - 1) % 2]
-        dst = arrays[level % 2]
-        update_region(src, dst, d.ghost, lo, hi)
-    else:
-        o_read = grid.offset + direction * (level - 1)
-        update_region_compressed(grid, lo, hi, o_read, direction)

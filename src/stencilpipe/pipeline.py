@@ -13,6 +13,11 @@ its rear thread; the overall front and rear threads skip the first and
 second condition respectively.  Counter increments happen after the
 block's writes (release on increment under the interpreter lock), so an
 observed counter value implies the corresponding data is visible.
+
+Every engine turns a time level into storage through ``_apply_levels`` and
+ends a sweep through ``_end_sweep``.  ``run_schedule``, the serial
+executor, runs the spatially blocked sweep and the serial distributed
+outer step; the thread pipeline calls the same two helpers.
 """
 
 from __future__ import annotations
@@ -143,7 +148,6 @@ class BlockSchedule:
         self.edges = [list(e) for e in edges]
         self.direction = direction
         counts = [len(e) - 1 for e in self.edges]
-        self.block_grid = counts
         self.blocks = [(iz, iy, ix)
                        for iz in range(counts[0])
                        for iy in range(counts[1])
@@ -280,6 +284,49 @@ def trace_csv(events) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _apply_levels(grid, sched: BlockSchedule, blk, levels) -> None:
+    """Apply ``levels`` of ``sched`` to base block ``blk`` of ``grid``.
+
+    The one place a time level becomes storage: two-grid level tau reads
+    array (tau-1) % 2 of the pair current at sweep start and writes the
+    other; compressed level tau reads at the sweep-start origin moved
+    tau-1 layers in the schedule's direction and writes one layer further.
+    The grid swaps or shifts only in :func:`_end_sweep`, after every level
+    of the sweep is done, so the sweep-start state is the grid's state.
+    """
+    if grid.storage == "twogrid":
+        arrays = grid.arrays()
+        g = grid.dims.ghost
+        for tau in levels:
+            lo, hi = sched.region(blk, tau)
+            update_region(arrays[(tau - 1) % 2], arrays[tau % 2], g, lo, hi)
+    else:
+        o0, direction = grid.offset, sched.direction
+        for tau in levels:
+            lo, hi = sched.region(blk, tau)
+            update_region_compressed(grid, lo, hi, o0 + direction * (tau - 1),
+                                     direction)
+
+
+def _end_sweep(grid, sched: BlockSchedule) -> None:
+    """Advance ``grid`` past a finished sweep of all of ``sched``'s levels."""
+    U = sched.n_levels
+    if grid.storage == "twogrid":
+        if U % 2 == 1:
+            grid.swap()
+    else:
+        grid.shift_origin(sched.direction * U)
+
+
+def run_schedule(grid, sched: BlockSchedule) -> None:
+    """One sweep on the calling thread: every level of each block in
+    schedule order, then the sweep's swap or origin shift."""
+    levels = range(1, sched.n_levels + 1)
+    for blk in sched.order:
+        _apply_levels(grid, sched, blk, levels)
+    _end_sweep(grid, sched)
+
+
 class _Runner:
     """Owns worker threads for one multi-sweep pipelined run."""
 
@@ -296,7 +343,6 @@ class _Runner:
         self.abort = threading.Event()
         self.errors: list[BaseException] = []
         self._err_lock = threading.Lock()
-        self._sweep_base = None  # (cur, oth) or origin offset at sweep start
 
         if cfg.storage == "twogrid":
             if not isinstance(grid, TwoGrid):
@@ -353,17 +399,13 @@ class _Runner:
                 if self.cfg.storage == "compressed" and sweep % 2 == 1:
                     direction = 1
                 sched = self.schedules[direction]
-                if i == 0:
-                    self._begin_sweep(direction)
-                if not self._sync():
-                    return
                 self._run_sweep(i, sweep, sched)
                 if self.abort.is_set():
                     return
                 if not self._sync():
                     return
                 if i == 0:
-                    self._finish_sweep(direction)
+                    _end_sweep(self.grid, sched)
                     self.counters.reset()
                 if not self._sync():
                     return
@@ -372,40 +414,11 @@ class _Runner:
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             self._fail(exc)
 
-    def _begin_sweep(self, direction: int) -> None:
-        if self.cfg.storage == "twogrid":
-            self._sweep_base = self.grid.arrays()
-        else:
-            self._sweep_base = (self.grid.offset, direction)
-
-    def _finish_sweep(self, direction: int) -> None:
-        U = self.cfg.levels_per_sweep
-        if self.cfg.storage == "twogrid":
-            if U % 2 == 1:
-                self.grid.swap()
-        else:
-            self.grid.shift_origin(direction * U)
-
     # -- per-sweep work ----------------------------------------------------
 
     def _levels(self, i: int):
         T = self.cfg.updates_per_thread
         return range(i * T + 1, (i + 1) * T + 1)
-
-    def _process(self, i: int, sched: BlockSchedule, blk) -> None:
-        if self.cfg.storage == "twogrid":
-            cur, oth = self._sweep_base
-            arrays = (cur, oth)
-            g = self.grid.dims.ghost
-            for tau in self._levels(i):
-                lo, hi = sched.region(blk, tau)
-                update_region(arrays[(tau - 1) % 2], arrays[tau % 2], g, lo, hi)
-        else:
-            o0, direction = self._sweep_base
-            for tau in self._levels(i):
-                lo, hi = sched.region(blk, tau)
-                o_read = o0 + direction * (tau - 1)
-                update_region_compressed(self.grid, lo, hi, o_read, direction)
 
     def _record(self, sweep: int, i: int, ordinal: int) -> None:
         if self.trace is None:
@@ -425,19 +438,21 @@ class _Runner:
 
     def _run_sweep_barrier(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         cfg = self.cfg
+        levels = self._levels(i)
         offset = i + (i // cfg.team_size) * cfg.team_delay
         last = (cfg.n_threads - 1) + (cfg.teams - 1) * cfg.team_delay
         for step in range(sched.n_blocks + last):
             b = step - offset
             if 0 <= b < sched.n_blocks:
                 self._record(sweep, i, b)
-                self._process(i, sched, sched.order[b])
+                _apply_levels(self.grid, sched, sched.order[b], levels)
                 self.counters.increment(i)
             if not self._sync():
                 raise threading.BrokenBarrierError()
 
     def _run_sweep_relaxed(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         cfg = self.cfg
+        levels = self._levels(i)
         for b in range(sched.n_blocks):
             spins = 0
             deadline = time.monotonic() + cfg.spin_timeout
@@ -452,7 +467,7 @@ class _Runner:
                             f"thread {i} stalled at block {b} "
                             f"(counters {self.counters.snapshot()})")
             self._record(sweep, i, b)
-            self._process(i, sched, sched.order[b])
+            _apply_levels(self.grid, sched, sched.order[b], levels)
             self.counters.increment(i)
 
 

@@ -174,6 +174,16 @@ def test_distributed_serial_matches_oracle():
     assert compare(oracle(gd, pat, 6).interior(), gathered).bitwise
 
 
+def test_distributed_serial_thin_unsplit_axis():
+    # h = 3 exceeds the 2-cell z extent: the serial step must not apply the
+    # pipeline's U <= min(extent) rule to an axis that is never split.
+    gd = GridDims(16, 16, 2)
+    pat = FillPattern.random(3)
+    gathered, _ = run_distributed(gd, pat, (2, 1, 1), cfg=None,
+                                  outer_steps=1, h=3)
+    assert compare(oracle(gd, pat, 3).interior(), gathered).bitwise
+
+
 def test_distributed_pipelined_matches_oracle():
     gd = GridDims(24, 24, 24)
     pat = FillPattern.random(43)

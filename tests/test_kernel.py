@@ -3,16 +3,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
-from stencilpipe.kernel import (block_edges, stencil_point, sweep_naive,
-                                sweep_spatial_blocked, update_block)
+from stencilpipe.kernel import (block_edges, stencil_region, sweep_naive,
+                                sweep_spatial_blocked)
+from stencilpipe.pipeline import PipelineConfig, build_schedule, run_schedule
 from stencilpipe.verify import check_maximum_principle, compare, oracle
 
 
+def _point(xm, xp, ym, yp, zm, zp) -> float:
+    """stencil_region at the center of a 3x3x3 array of the six neighbors."""
+    a = np.full((3, 3, 3), np.nan)
+    a[1, 1, 0], a[1, 1, 2] = xm, xp
+    a[1, 0, 1], a[1, 2, 1] = ym, yp
+    a[0, 1, 1], a[2, 1, 1] = zm, zp
+    return stencil_region(a, (slice(1, 2),) * 3)[0, 0, 0]
+
+
+def _whole(d: GridDims, levels: int, direction: int = -1):
+    """One-block schedule of ``levels`` levels over the interior."""
+    cfg = PipelineConfig(updates_per_thread=levels)
+    return build_schedule(d, cfg, direction=direction)
+
+
 def test_point_update_examples():
-    assert stencil_point(5.0, 5.0, 5.0, 5.0, 5.0, 5.0) == 5.0
+    assert _point(5.0, 5.0, 5.0, 5.0, 5.0, 5.0) == 5.0
     # linear field: neighbor pairs average to the center value
-    assert stencil_point(2.0, 4.0, 2.0, 4.0, 2.0, 4.0) == 3.0
-    assert stencil_point(1.0, 2.0, 3.0, 4.0, 0.0, 5.0) == 15.0 / 6.0
+    assert _point(2.0, 4.0, 2.0, 4.0, 2.0, 4.0) == 3.0
+    assert _point(1.0, 2.0, 3.0, 4.0, 0.0, 5.0) == 15.0 / 6.0
 
 
 def test_constant_is_fixed_point():
@@ -104,20 +120,19 @@ def test_update_block_full_interior_equals_sweep():
     ref = allocate(d, "twogrid", pat)
     g = allocate(d, "twogrid", pat)
     sweep_naive(ref)
-    update_block(g, (0, 0, 0), d.shape, level=1)
-    g.swap()
+    run_schedule(g, _whole(d, 1))
     assert compare(ref, g).bitwise
 
 
 def test_update_block_level_parity():
-    # Two levels via explicit blocks == two naive sweeps.
+    # Two levels over one block == two naive sweeps.
     d = GridDims(6, 6, 6)
     pat = FillPattern.random(13)
     ref = oracle(d, pat, 2)
     g = allocate(d, "twogrid", pat)
-    update_block(g, (0, 0, 0), d.shape, level=1)
-    update_block(g, (0, 0, 0), d.shape, level=2)
-    # U = 2 is even: the current array already holds the result
+    run_schedule(g, _whole(d, 2))
+    # U = 2 is even: the result lands in the array that was current, no swap
+    assert g.active == 0
     assert compare(ref, g).bitwise
 
 
@@ -126,8 +141,8 @@ def test_update_block_compressed_one_level():
     pat = FillPattern.random(3)
     ref = oracle(d, pat, 1)
     g = allocate(d, "compressed", pat, slack=1)
-    update_block(g, (0, 0, 0), d.shape, level=1, direction=-1)
-    g.shift_origin(-1)
+    run_schedule(g, _whole(d, 1, direction=-1))
+    assert g.offset == 0
     assert compare(ref, g).bitwise
 
 
@@ -137,19 +152,10 @@ def test_update_block_compressed_round_trip():
     pat = FillPattern.random(29)
     ref = oracle(d, pat, 2)
     g = allocate(d, "compressed", pat, slack=1)
-    update_block(g, (0, 0, 0), d.shape, level=1, direction=-1)
-    g.shift_origin(-1)
-    update_block(g, (0, 0, 0), d.shape, level=1, direction=+1)
-    g.shift_origin(+1)
+    run_schedule(g, _whole(d, 1, direction=-1))
+    run_schedule(g, _whole(d, 1, direction=+1))
+    assert g.offset == 1
     assert compare(ref, g).bitwise
-
-
-def test_update_block_bounds():
-    g = allocate(GridDims(4, 4, 4), "twogrid", FillPattern.constant(0.0))
-    with pytest.raises(GridError):
-        update_block(g, (0, 0, 0), (5, 4, 4))
-    with pytest.raises(GridError):
-        update_block(g, (2, 0, 0), (1, 4, 4))
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,4 +173,4 @@ def test_summation_order_is_pairwise():
     vals = (0.1, 0.7, 1e-17, 0.3, 0.9, 1.1)
     expected = (((vals[0] + vals[1]) + (vals[2] + vals[3]))
                 + (vals[4] + vals[5])) * (1.0 / 6.0)
-    assert stencil_point(*vals) == expected
+    assert _point(*vals) == expected

@@ -185,6 +185,24 @@ def test_compressed_pipeline_matches_oracle():
     assert compare(oracle(d, pat, 12), g).bitwise
 
 
+def test_compressed_ghost_refresh_needs_no_pattern(monkeypatch):
+    # The boundary shell comes from faces cached at allocation: once the
+    # grid exists, a run must not evaluate the fill pattern again.
+    d = GridDims(12, 12, 12)
+    pat = FillPattern.random(47)
+    cfg = PipelineConfig(teams=1, team_size=1, updates_per_thread=2,
+                         block=(12, 4, 4), storage="compressed")
+    ref = oracle(d, pat, 4)
+    g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
+
+    def refuse(self, lo, hi):
+        raise AssertionError("FillPattern.evaluate called after allocation")
+
+    monkeypatch.setattr(FillPattern, "evaluate", refuse)
+    run_node_sweeps(g, cfg, 2)
+    assert compare(ref, g).bitwise
+
+
 def test_storage_mismatch_rejected():
     d = GridDims(8, 8, 8)
     g = allocate(d, "twogrid", FillPattern.constant(0.0))
