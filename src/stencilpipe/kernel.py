@@ -59,6 +59,7 @@ def sweep_spatial_blocked(grid: TwoGrid, bs: tuple[int, int, int]) -> None:
     through the serial executor.  Bitwise equal to ``sweep_naive`` because
     the per-cell arithmetic is unchanged.
     """
+    # Imported here because pipeline imports this module.
     from .pipeline import PipelineConfig, build_schedule, run_schedule
 
     d = grid.dims
