@@ -10,9 +10,9 @@ from .grid import (CompressedGrid, FillPattern, GridDims, GridError, TwoGrid,
                    load_field)
 from .kernel import sweep_naive, sweep_spatial_blocked
 from .pipeline import (BlockSchedule, PipelineConfig, PipelineTimeout,
-                       ScheduleError, ThreadCounters, audit_trace,
-                       build_schedule, default_block_size, instrumented_run,
-                       may_proceed, run_node_sweeps, trace_csv)
+                       ScheduleError, audit_trace, build_schedule,
+                       default_block_size, instrumented_run, may_proceed,
+                       run_node_sweeps, trace_csv)
 from .decomp import (Decomposition, DecompositionError, decompose,
                      exchange_halos, local_grid, outer_step, run_distributed)
 from .transport import (Endpoint, LoopbackWorld, MessageHeader, TransportError,

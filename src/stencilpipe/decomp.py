@@ -208,20 +208,15 @@ def level_domains_for_rank(decomp: Decomposition, rank: int,
 
 
 def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
-               cfg: PipelineConfig | None = None, h: int | None = None) -> None:
-    """Apply h local time levels between exchanges.
+               cfg: PipelineConfig | None = None) -> None:
+    """Apply h = ``decomp.halo`` local time levels between exchanges.
 
     With a pipeline config, the per-level extended domains are handed to
     the pipelined engine as its node-sweep domains (h must equal U).
     Without one, the serial executor runs all h levels over a single block
     of those domains -- the engine used for h=1 and as a cross-check.
     """
-    if h is None:
-        if cfg is None:
-            raise DecompositionError("need either a pipeline config or h")
-        h = cfg.levels_per_sweep
-    if h != decomp.halo:
-        raise DecompositionError(f"h={h} does not match halo width {decomp.halo}")
+    h = decomp.halo
     domains = level_domains_for_rank(decomp, rank, h)
     if cfg is not None:
         if cfg.storage != "twogrid":
@@ -231,8 +226,7 @@ def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
                 f"pipeline applies U={cfg.levels_per_sweep} levels, halo is {h}")
         run_node_sweeps(grid, cfg, 1, level_domains=domains)
     else:
-        edges = [[lo, hi] for lo, hi in zip(*domains[0])]
-        run_schedule(grid, BlockSchedule(domains, edges, -1))
+        run_schedule(grid, BlockSchedule(domains, None, -1))
 
 
 def run_distributed(global_dims: GridDims, pattern: FillPattern,
@@ -255,7 +249,7 @@ def run_distributed(global_dims: GridDims, pattern: FillPattern,
         grid = local_grid(decomp, rank, pattern)
         for step in range(outer_steps):
             exchange_halos(grid, decomp, rank, endpoint, step, order)
-            outer_step(grid, decomp, rank, cfg, h=h)
+            outer_step(grid, decomp, rank, cfg)
         return grid.interior().copy()
 
     rank_fields = spawn_world(decomp.n_ranks, program)

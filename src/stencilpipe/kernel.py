@@ -43,15 +43,6 @@ def sweep_naive(grid: TwoGrid) -> None:
     grid.swap()
 
 
-def block_edges(extent: int, block: int) -> list[int]:
-    """1D block boundaries 0, block, 2*block, ..., extent."""
-    if not 1 <= block:
-        raise GridError(f"block extent must be >= 1, got {block}")
-    edges = list(range(0, extent, block))
-    edges.append(extent)
-    return edges
-
-
 def sweep_spatial_blocked(grid: TwoGrid, bs: tuple[int, int, int]) -> None:
     """Spatially blocked sweep; block size given as (bx, by, bz).
 
@@ -60,14 +51,13 @@ def sweep_spatial_blocked(grid: TwoGrid, bs: tuple[int, int, int]) -> None:
     the per-cell arithmetic is unchanged.
     """
     # Imported here because pipeline imports this module.
-    from .pipeline import PipelineConfig, build_schedule, run_schedule
+    from .pipeline import BlockSchedule, run_schedule
 
     d = grid.dims
     for b, n in zip(bs, (d.nx, d.ny, d.nz)):
         if not 1 <= b <= n:
             raise GridError(f"block size {bs} outside interior extents")
-    cfg = PipelineConfig(updates_per_thread=1, block=bs)
-    run_schedule(grid, build_schedule(d, cfg))
+    run_schedule(grid, BlockSchedule([((0, 0, 0), d.shape)], bs, -1))
 
 
 def _refresh_compressed_ghosts(grid: CompressedGrid, lo, hi, o_read: int) -> None:

@@ -22,14 +22,13 @@ outer step; the thread pipeline calls the same two helpers.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .grid import CompressedGrid, GridDims, TwoGrid
-from .kernel import block_edges, update_region, update_region_compressed
+from .kernel import update_region, update_region_compressed
 
 
 class ScheduleError(ValueError):
@@ -73,34 +72,6 @@ class PipelineConfig:
         return self.teams * self.team_size * self.updates_per_thread
 
 
-class ThreadCounters:
-    """Per-thread monotone block counters, one writer each.
-
-    Each counter occupies its own 128-byte row of the backing array so
-    writers never share a cache line.
-    """
-
-    _PAD = 16  # int64 slots per row
-
-    def __init__(self, n_threads: int):
-        self._c = np.zeros((n_threads, self._PAD), dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self._c.shape[0]
-
-    def get(self, i: int) -> int:
-        return int(self._c[i, 0])
-
-    def increment(self, i: int) -> None:
-        self._c[i, 0] += 1
-
-    def reset(self) -> None:
-        self._c[:, 0] = 0
-
-    def snapshot(self) -> list[int]:
-        return [int(v) for v in self._c[:, 0]]
-
-
 def effective_bounds(cfg: PipelineConfig, i: int) -> tuple[int, int]:
     """(D_l, D_u) for global thread i, including the team delay."""
     pos = i % cfg.team_size
@@ -109,7 +80,7 @@ def effective_bounds(cfg: PipelineConfig, i: int) -> tuple[int, int]:
     return d_l, d_u
 
 
-def may_proceed(counters: ThreadCounters, i: int, cfg: PipelineConfig,
+def may_proceed(counters: list[int], i: int, cfg: PipelineConfig,
                 n_blocks: int | None = None) -> bool:
     """True iff thread i may start its next block under the distance rules.
 
@@ -121,11 +92,11 @@ def may_proceed(counters: ThreadCounters, i: int, cfg: PipelineConfig,
     """
     d_l, d_u = effective_bounds(cfg, i)
     if i > 0:
-        c_prev = counters.get(i - 1)
+        c_prev = counters[i - 1]
         done = n_blocks is not None and c_prev >= n_blocks
-        if not done and c_prev - counters.get(i) < d_l:
+        if not done and c_prev - counters[i] < d_l:
             return False
-    if i < cfg.n_threads - 1 and counters.get(i) - counters.get(i + 1) > d_u:
+    if i < cfg.n_threads - 1 and counters[i] - counters[i + 1] > d_u:
         return False
     return True
 
@@ -133,88 +104,52 @@ def may_proceed(counters: ThreadCounters, i: int, cfg: PipelineConfig,
 class BlockSchedule:
     """Per-time-level shifted block regions tiling per-level domains.
 
-    The region for time level tau on a base block is the block translated
-    by direction*(tau-1) per dimension and clamped to that level's domain;
-    cells pushed past the low edge fold into the first block of the row,
-    cells past the high edge into the last, preserving the exact partition.
-    Block order is lexicographic (z outer, y middle, x inner), reversed
-    when direction is +1.
+    ``block`` is ``(bx, by, bz)``, or None for one block per axis.  Along
+    each axis the base blocks start at the first level's low edge; level
+    tau moves their interior edges by direction*(tau-1) and bounds each row
+    by that level's domain, so cells pushed past the low edge fold into the
+    first block of the row and cells past the high edge into the last.
+    Each (level, axis) keeps that chain of cuts.  A level is partitioned
+    exactly when every chain is non-decreasing, which the constructor
+    checks.  Block order is lexicographic (z outer, y middle, x inner),
+    reversed when direction is +1.
     """
 
-    def __init__(self, level_domains, edges, direction: int):
+    def __init__(self, level_domains, block, direction: int):
         if direction not in (-1, 1):
             raise ScheduleError(f"direction must be -1 or +1, got {direction}")
-        self.level_domains = [tuple(map(tuple, d)) for d in level_domains]
-        self.edges = [list(e) for e in edges]
+        if block is not None and min(block) < 1:
+            raise ScheduleError(f"block extents must be >= 1, got {block}")
         self.direction = direction
-        counts = [len(e) - 1 for e in self.edges]
-        self.blocks = [(iz, iy, ix)
-                       for iz in range(counts[0])
-                       for iy in range(counts[1])
-                       for ix in range(counts[2])]
-        self.order = list(self.blocks)
-        if direction == 1:
-            self.order.reverse()
-        self.n_levels = len(self.level_domains)
-        self._regions = [
-            {blk: self._region(blk, tau) for blk in self.blocks}
-            for tau in range(1, self.n_levels + 1)
-        ]
-        self._validate()
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def _region(self, blk, tau: int):
-        shift = self.direction * (tau - 1)
-        dom_lo, dom_hi = self.level_domains[tau - 1]
-        lo = []
-        hi = []
-        for d in range(3):
-            j = blk[d]
-            e = self.edges[d]
-            m = len(e) - 1
-            l = e[j] + shift
-            h = e[j + 1] + shift
-            if j == 0:
-                l = dom_lo[d]
-            if j == m - 1:
-                h = dom_hi[d]
-            lo.append(l)
-            hi.append(h)
-        return tuple(lo), tuple(hi)
-
-    def region(self, blk, tau: int):
-        return self._regions[tau - 1][blk]
-
-    def _validate(self) -> None:
-        for tau in range(1, self.n_levels + 1):
-            shift = self.direction * (tau - 1)
-            dom_lo, dom_hi = self.level_domains[tau - 1]
-            for d in range(3):
-                e = self.edges[d]
-                m = len(e) - 1
-                if m == 1:
-                    continue
-                # Interior edges must stay inside the clamped domain so the
-                # shifted 1D intervals still chain into an exact partition.
-                if e[1] + shift < dom_lo[d] or e[m - 1] + shift > dom_hi[d]:
+        self.n_levels = len(level_domains)
+        base_lo, base_hi = level_domains[0]
+        sizes = (None,) * 3 if block is None else block[::-1]  # array order
+        interior = [range(base_lo[d] + b, base_hi[d], b) if b else ()
+                    for d, b in enumerate(sizes)]
+        self._cuts = []
+        for tau, (dom_lo, dom_hi) in enumerate(level_domains, 1):
+            shift = direction * (tau - 1)
+            chains = tuple([dom_lo[d], *(e + shift for e in interior[d]), dom_hi[d]]
+                           for d in range(3))
+            for d, c in enumerate(chains):
+                if c != sorted(c):
                     raise ScheduleError(
                         f"level {tau}: shifted block edges escape domain "
                         f"(dim {d}, shift {shift}); shrink U or enlarge blocks")
+            self._cuts.append(chains)
+        self.order = list(itertools.product(*(range(len(e) + 1) for e in interior)))
+        if direction == 1:
+            self.order.reverse()
 
-    def check_partition(self, tau: int) -> None:
-        """Exhaustive cell-count check that level tau's regions tile the domain."""
-        dom_lo, dom_hi = self.level_domains[tau - 1]
-        shape = tuple(h - l for l, h in zip(dom_lo, dom_hi))
-        cover = np.zeros(shape, dtype=np.int32)
-        for blk in self.blocks:
-            lo, hi = self.region(blk, tau)
-            sl = tuple(slice(l - dl, h - dl) for l, h, dl in zip(lo, hi, dom_lo))
-            cover[sl] += 1
-        if not np.array_equal(cover, np.ones(shape, dtype=np.int32)):
-            raise ScheduleError(f"level {tau} regions do not partition the domain")
+    @property
+    def n_blocks(self) -> int:
+        return len(self.order)
+
+    def region(self, blk, tau: int):
+        """(lo, hi) of base block ``blk`` = (iz, iy, ix) at time level tau."""
+        z, y, x = self._cuts[tau - 1]
+        iz, iy, ix = blk
+        return (z[iz], y[iy], x[ix]), (z[iz + 1], y[iy + 1], x[ix + 1])
 
 
 def build_schedule(dims: GridDims, cfg: PipelineConfig,
@@ -235,16 +170,7 @@ def build_schedule(dims: GridDims, cfg: PipelineConfig,
         level_domains = [((0, 0, 0), shape)] * U
     elif len(level_domains) != U:
         raise ScheduleError(f"need {U} level domains, got {len(level_domains)}")
-    base_lo, base_hi = level_domains[0]
-    if cfg.block is None:
-        edges = [[base_lo[d], base_hi[d]] for d in range(3)]
-    else:
-        bx, by, bz = cfg.block
-        edges = []
-        for d, b in zip(range(3), (bz, by, bx)):
-            ext = base_hi[d] - base_lo[d]
-            edges.append([base_lo[d] + e for e in block_edges(ext, b)])
-    return BlockSchedule(level_domains, edges, direction)
+    return BlockSchedule(level_domains, cfg.block, direction)
 
 
 @dataclass
@@ -338,7 +264,7 @@ class _Runner:
         self.cfg = cfg
         self.sweeps = sweeps
         self.trace = trace
-        self.counters = ThreadCounters(cfg.n_threads)
+        self.counters = [0] * cfg.n_threads
         self.barrier = threading.Barrier(cfg.n_threads)
         self.abort = threading.Event()
         self.errors: list[BaseException] = []
@@ -351,9 +277,10 @@ class _Runner:
         else:
             if not isinstance(grid, CompressedGrid):
                 raise ValueError("config expects compressed storage")
-            if grid.slack < cfg.levels_per_sweep:
-                raise ScheduleError(
-                    f"compressed slack {grid.slack} < U={cfg.levels_per_sweep}")
+            # Every run starts with a sweep that moves the origin U layers down.
+            if grid.offset < cfg.levels_per_sweep:
+                raise ScheduleError(f"compressed origin offset {grid.offset} "
+                                    f"< U={cfg.levels_per_sweep}")
             if level_domains is not None:
                 raise ScheduleError("compressed storage supports interior domains only")
             self.schedules = {
@@ -406,7 +333,7 @@ class _Runner:
                     return
                 if i == 0:
                     _end_sweep(self.grid, sched)
-                    self.counters.reset()
+                    self.counters[:] = [0] * len(self.counters)
                 if not self._sync():
                     return
         except threading.BrokenBarrierError:
@@ -426,9 +353,9 @@ class _Runner:
         c = self.counters
         self.trace.append(TraceEvent(
             sweep=sweep, thread=i, block=ordinal,
-            c_prev=c.get(i - 1) if i > 0 else -1,
-            c_self=c.get(i),
-            c_next=c.get(i + 1) if i < len(c) - 1 else -1))
+            c_prev=c[i - 1] if i > 0 else -1,
+            c_self=c[i],
+            c_next=c[i + 1] if i < len(c) - 1 else -1))
 
     def _run_sweep(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         if self.cfg.sync == "barrier":
@@ -446,7 +373,7 @@ class _Runner:
             if 0 <= b < sched.n_blocks:
                 self._record(sweep, i, b)
                 _apply_levels(self.grid, sched, sched.order[b], levels)
-                self.counters.increment(i)
+                self.counters[i] += 1
             if not self._sync():
                 raise threading.BrokenBarrierError()
 
@@ -465,10 +392,10 @@ class _Runner:
                     if time.monotonic() > deadline:
                         raise PipelineTimeout(
                             f"thread {i} stalled at block {b} "
-                            f"(counters {self.counters.snapshot()})")
+                            f"(counters {list(self.counters)})")
             self._record(sweep, i, b)
             _apply_levels(self.grid, sched, sched.order[b], levels)
-            self.counters.increment(i)
+            self.counters[i] += 1
 
 
 def run_node_sweeps(grid, cfg: PipelineConfig, sweeps: int,

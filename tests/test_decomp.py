@@ -113,7 +113,7 @@ def test_single_rank_needs_no_messages():
     def program(rank, ep):
         g = local_grid(d, rank, pat)
         exchange_halos(g, d, rank, ep, sweep=0)
-        outer_step(g, d, rank, h=2)
+        outer_step(g, d, rank)
         return g.interior().copy()
 
     field = spawn_world(1, program)[0]
@@ -161,9 +161,7 @@ def test_outer_step_requires_matching_halo():
     d = decompose(gd, 2, (2, 1, 1), halo=4)
     g = local_grid(d, 0, FillPattern.constant(0.0))
     with pytest.raises(DecompositionError):
-        outer_step(g, d, 0, h=2)
-    with pytest.raises(DecompositionError):
-        outer_step(g, d, 0)  # neither cfg nor h
+        outer_step(g, d, 0, PipelineConfig(updates_per_thread=2))  # U=2
 
 
 def test_distributed_serial_matches_oracle():

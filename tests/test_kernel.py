@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
-from stencilpipe.kernel import (block_edges, stencil_region, sweep_naive,
-                                sweep_spatial_blocked)
-from stencilpipe.pipeline import PipelineConfig, build_schedule, run_schedule
+from stencilpipe.kernel import stencil_region, sweep_naive, sweep_spatial_blocked
+from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
+                                  build_schedule, run_schedule)
 from stencilpipe.verify import check_maximum_principle, compare, oracle
 
 
@@ -69,11 +69,16 @@ def test_hotplate_monotone_heating():
 
 
 def test_block_edges():
-    assert block_edges(10, 4) == [0, 4, 8, 10]
-    assert block_edges(8, 8) == [0, 8]
-    assert block_edges(3, 5) == [0, 3]
-    with pytest.raises(GridError):
-        block_edges(10, 0)
+    def x_cuts(extent, b):
+        sched = BlockSchedule([((0, 0, 0), (1, 1, extent))], (b, 1, 1), -1)
+        regions = [sched.region(blk, 1) for blk in sched.order]
+        return [lo[2] for lo, _ in regions] + [regions[-1][1][2]]
+
+    assert x_cuts(10, 4) == [0, 4, 8, 10]
+    assert x_cuts(8, 8) == [0, 8]
+    assert x_cuts(3, 5) == [0, 3]
+    with pytest.raises(ScheduleError):
+        x_cuts(10, 0)
 
 
 def test_blocked_matches_naive_bitwise():

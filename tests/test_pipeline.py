@@ -2,19 +2,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stencilpipe.decomp import decompose, level_domains_for_rank
 from stencilpipe.grid import FillPattern, GridDims, allocate
-from stencilpipe.pipeline import (PipelineConfig, ScheduleError, ThreadCounters,
+from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
                                   audit_trace, build_schedule,
                                   default_block_size, effective_bounds,
                                   instrumented_run, may_proceed,
                                   run_node_sweeps, trace_csv)
 from stencilpipe.verify import compare, oracle
-
-
-def _set(counters: ThreadCounters, values) -> None:
-    for i, v in enumerate(values):
-        counters._c[i, 0] = v
 
 
 def test_effective_bounds_team_delay():
@@ -29,53 +26,40 @@ def test_effective_bounds_team_delay():
 
 def test_may_proceed_min_distance():
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=4)
-    c = ThreadCounters(2)
-    _set(c, [3, 2])
-    assert may_proceed(c, 1, cfg)
-    _set(c, [2, 2])
-    assert not may_proceed(c, 1, cfg)
+    assert may_proceed([3, 2], 1, cfg)
+    assert not may_proceed([2, 2], 1, cfg)
 
 
 def test_may_proceed_max_distance():
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=4)
-    c = ThreadCounters(2)
-    _set(c, [6, 2])
-    assert may_proceed(c, 0, cfg)
-    _set(c, [7, 2])
-    assert not may_proceed(c, 0, cfg)
+    assert may_proceed([6, 2], 0, cfg)
+    assert not may_proceed([7, 2], 0, cfg)
 
 
 def test_may_proceed_team_delay_threshold():
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=16,
                          team_delay=8)
-    c = ThreadCounters(2)
-    _set(c, [10, 1])
-    assert may_proceed(c, 1, cfg)  # lead 9 == d_l + d_t
-    _set(c, [9, 1])
-    assert not may_proceed(c, 1, cfg)
+    assert may_proceed([10, 1], 1, cfg)  # lead 9 == d_l + d_t
+    assert not may_proceed([9, 1], 1, cfg)
 
 
 def test_may_proceed_saturates_at_sweep_end():
     # A predecessor that finished all blocks cannot race, whatever the lead.
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=16,
                          team_delay=8)
-    c = ThreadCounters(2)
-    _set(c, [9, 6])
+    c = [9, 6]
     assert not may_proceed(c, 1, cfg, n_blocks=12)
     assert may_proceed(c, 1, cfg, n_blocks=9)
 
 
 def test_edge_threads_skip_one_condition():
     cfg = PipelineConfig(teams=1, team_size=3, min_dist=1, max_dist=2)
-    c = ThreadCounters(3)
-    _set(c, [0, 0, 0])
+    c = [0, 0, 0]
     assert may_proceed(c, 0, cfg)       # no predecessor
     assert not may_proceed(c, 1, cfg)   # needs a lead of 1
     assert not may_proceed(c, 2, cfg)
-    _set(c, [5, 4, 3])
-    assert may_proceed(c, 2, cfg)       # no successor to overrun
-    _set(c, [9, 6, 3])
-    assert not may_proceed(c, 1, cfg)   # middle thread still bounded above
+    assert may_proceed([5, 4, 3], 2, cfg)       # no successor to overrun
+    assert not may_proceed([9, 6, 3], 1, cfg)   # middle thread still bounded above
 
 
 def test_config_validation():
@@ -98,14 +82,42 @@ def test_schedule_single_block_is_full_region():
         assert sched.region((0, 0, 0), tau) == ((0, 0, 0), (8, 8, 8))
 
 
-def test_schedule_partitions_every_level():
-    d = GridDims(12, 12, 12)
-    cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
-                         block=(12, 4, 4))
-    sched = build_schedule(d, cfg)
-    assert sched.n_blocks == 9
-    for tau in range(1, cfg.levels_per_sweep + 1):
-        sched.check_partition(tau)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_schedule_partitions_every_level(data):
+    dims = data.draw(st.tuples(*[st.integers(1, 12)] * 3), label="(nx, ny, nz)")
+    block = tuple(data.draw(st.integers(1, n + 2), label="block") for n in dims)
+    U = data.draw(st.integers(1, 4), label="U")
+    direction = data.draw(st.sampled_from([-1, 1]), label="direction")
+    gd = GridDims(*dims)
+    if data.draw(st.booleans(), label="rank domains"):
+        # Split only axes that leave every rank at least U cells.
+        layout = tuple(data.draw(st.integers(1, max(1, min(3, n // U))),
+                                 label="layout") for n in dims)
+        decomp = decompose(gd, layout[0] * layout[1] * layout[2], layout, U)
+        rank = data.draw(st.integers(0, decomp.n_ranks - 1), label="rank")
+        domains = level_domains_for_rank(decomp, rank, U)
+    else:
+        domains = [((0, 0, 0), gd.shape)] * U
+
+    base_lo, base_hi = domains[0]
+    cuts = [range(l + b, h, b) for l, h, b in zip(base_lo, base_hi, block[::-1])]
+    try:
+        sched = BlockSchedule(domains, block, direction)
+    except ScheduleError:
+        assert any(not lo[d] <= c + direction * (tau - 1) <= hi[d]
+                   for tau, (lo, hi) in enumerate(domains, 1)
+                   for d in range(3) for c in cuts[d])
+        return
+    assert sched.n_blocks == np.prod([len(c) + 1 for c in cuts])
+    for tau, (dom_lo, dom_hi) in enumerate(domains, 1):
+        cover = np.zeros([h - l for l, h in zip(dom_lo, dom_hi)], dtype=np.int32)
+        for blk in sched.order:
+            lo, hi = sched.region(blk, tau)
+            assert all(dl <= l <= h <= dh for dl, l, h, dh
+                       in zip(dom_lo, lo, hi, dom_hi)), (blk, tau)
+            cover[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, dom_lo))] += 1
+        assert (cover == 1).all(), tau
 
 
 def test_schedule_shifts_and_clamps():
@@ -209,6 +221,27 @@ def test_storage_mismatch_rejected():
     cfg = PipelineConfig(storage="compressed")
     with pytest.raises(ValueError):
         run_node_sweeps(g, cfg, 1)
+
+
+def test_compressed_rerun_needs_origin_room():
+    # A run starts by moving the origin U layers down: after one sweep at
+    # slack U the origin sits at 0, so a second run must be refused before
+    # any write, while slack 2U leaves room for it.
+    d = GridDims(12, 12, 12)
+    pat = FillPattern.random(53)
+    cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
+                         storage="compressed")
+    g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
+    run_node_sweeps(g, cfg, 1)
+    before = g.data.copy()
+    with pytest.raises(ScheduleError):
+        run_node_sweeps(g, cfg, 1)
+    assert g.data.tobytes() == before.tobytes()
+
+    g = allocate(d, "compressed", pat, slack=2 * cfg.levels_per_sweep)
+    run_node_sweeps(g, cfg, 1)
+    run_node_sweeps(g, cfg, 1)
+    assert compare(oracle(d, pat, 8), g).bitwise
 
 
 def test_compressed_needs_slack():
