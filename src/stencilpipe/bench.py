@@ -89,12 +89,17 @@ def _dims(args, ghost: int = 1) -> GridDims:
     return GridDims(nx, ny, nz, ghost)
 
 
-def _config(args) -> PipelineConfig:
-    return PipelineConfig(
+def _config(args, dims: GridDims | None = None) -> PipelineConfig:
+    """The flags' pipeline config; given ``dims``, a missing block size is
+    replaced by the default one for that grid."""
+    cfg = PipelineConfig(
         teams=args.teams, team_size=args.team_size,
         updates_per_thread=args.updates_per_thread,
         min_dist=args.dl, max_dist=args.du, team_delay=args.dt,
         sync=args.sync, block=args.block, storage=args.storage)
+    if dims is not None and cfg.block is None:
+        cfg = replace(cfg, block=default_block_size(dims, cfg))
+    return cfg
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -124,26 +129,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _run_variant(variant: str, dims: GridDims, pattern: FillPattern,
                  cfg: PipelineConfig, sweeps: int) -> tuple[object, int, float]:
-    """Allocate, warm up, run timed; returns (grid, updates, seconds)."""
+    """Allocate, warm up, run timed; returns (grid, updates, seconds).
+
+    ``cfg.block`` must be set: the blocked and pipeline variants use it.
+    """
     interior = dims.nx * dims.ny * dims.nz
-    if variant == "naive":
-        grid = allocate(dims, "twogrid", pattern)
-        sweep_naive(grid)  # warmup, untimed
-        start = time.monotonic()
-        for _ in range(sweeps):
-            sweep_naive(grid)
-        return grid, interior * sweeps, time.monotonic() - start
-    if variant == "blocked":
-        bs = cfg.block or default_block_size(dims, cfg)
-        grid = allocate(dims, "twogrid", pattern)
-        sweep_spatial_blocked(grid, bs)
-        start = time.monotonic()
-        for _ in range(sweeps):
-            sweep_spatial_blocked(grid, bs)
-        return grid, interior * sweeps, time.monotonic() - start
     if variant == "pipeline":
-        if cfg.block is None:
-            cfg = replace(cfg, block=default_block_size(dims, cfg))
         # Compressed runs shift down up to one node sweep per call, and the
         # timed call starts from wherever the warmup left the origin.
         slack = 2 * cfg.levels_per_sweep if cfg.storage == "compressed" else 0
@@ -153,7 +144,18 @@ def _run_variant(variant: str, dims: GridDims, pattern: FillPattern,
         run_node_sweeps(grid, cfg, sweeps)
         levels = sweeps * cfg.levels_per_sweep
         return grid, interior * levels, time.monotonic() - start
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant == "naive":
+        step = sweep_naive
+    elif variant == "blocked":
+        step = lambda g: sweep_spatial_blocked(g, cfg.block)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    grid = allocate(dims, "twogrid", pattern)
+    step(grid)  # warmup, untimed
+    start = time.monotonic()
+    for _ in range(sweeps):
+        step(grid)
+    return grid, interior * sweeps, time.monotonic() - start
 
 
 def _verify_levels(variant: str, cfg: PipelineConfig, total_sweeps: int) -> int:
@@ -166,7 +168,7 @@ def _verify_levels(variant: str, cfg: PipelineConfig, total_sweeps: int) -> int:
 def cmd_bench(args) -> int:
     dims = _dims(args)
     pattern = _pattern(args)
-    cfg = _config(args)
+    cfg = _config(args, dims)
     results = []
     for variant in args.variant:
         runs = []
@@ -194,9 +196,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     dims = _dims(args)
     pattern = _pattern(args)
-    cfg = _config(args)
-    if cfg.block is None:
-        cfg = replace(cfg, block=default_block_size(dims, cfg))
+    cfg = _config(args, dims)
     slack = cfg.levels_per_sweep if cfg.storage == "compressed" else 0
     grid = allocate(dims, cfg.storage, pattern, slack=slack)
     run_node_sweeps(grid, cfg, args.sweeps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FillPattern, GridDims, TwoGrid, extract_layers, inject_layers
-from .pipeline import BlockSchedule, PipelineConfig, run_node_sweeps, run_schedule
+from .pipeline import PipelineConfig, run_node_sweeps
 # Not called here: perfbench/tracer.py patches decomp.update_region, so the
 # name stays bound.
 from .kernel import update_region  # noqa: F401
@@ -208,40 +208,35 @@ def level_domains_for_rank(decomp: Decomposition, rank: int,
 
 
 def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
-               cfg: PipelineConfig | None = None) -> None:
+               cfg: PipelineConfig) -> None:
     """Apply h = ``decomp.halo`` local time levels between exchanges.
 
-    With a pipeline config, the per-level extended domains are handed to
-    the pipelined engine as its node-sweep domains (h must equal U).
-    Without one, the serial executor runs all h levels over a single block
-    of those domains -- the engine used for h=1 and as a cross-check.
+    The per-level extended domains become the node-sweep domains of the
+    pipeline ``cfg``, which must apply U = h levels.  A serial step is
+    ``PipelineConfig(updates_per_thread=h)``: one thread running one block.
     """
     h = decomp.halo
-    domains = level_domains_for_rank(decomp, rank, h)
-    if cfg is not None:
-        if cfg.storage != "twogrid":
-            raise DecompositionError("distributed runs use two-grid storage")
-        if cfg.levels_per_sweep != h:
-            raise DecompositionError(
-                f"pipeline applies U={cfg.levels_per_sweep} levels, halo is {h}")
-        run_node_sweeps(grid, cfg, 1, level_domains=domains)
-    else:
-        run_schedule(grid, BlockSchedule(domains, None, -1))
+    if cfg.storage != "twogrid":
+        raise DecompositionError("distributed runs use two-grid storage")
+    if cfg.levels_per_sweep != h:
+        raise DecompositionError(
+            f"pipeline applies U={cfg.levels_per_sweep} levels, halo is {h}")
+    run_node_sweeps(grid, cfg, 1,
+                    level_domains=level_domains_for_rank(decomp, rank, h))
 
 
 def run_distributed(global_dims: GridDims, pattern: FillPattern,
-                    layout: tuple[int, int, int], cfg: PipelineConfig | None,
-                    outer_steps: int, h: int | None = None,
+                    layout: tuple[int, int, int], cfg: PipelineConfig,
+                    outer_steps: int,
                     order: tuple[str, ...] = ("x", "y", "z")):
     """Loopback multi-rank run; returns (gathered global field, rank fields).
 
-    The gathered interior equals outer_steps * h naive sweeps of the
-    undecomposed problem (within the package's relative tolerance).
+    Every outer step exchanges halos of width h = ``cfg.levels_per_sweep``
+    and runs one node sweep of ``cfg`` on each rank, so the gathered
+    interior equals outer_steps * h naive sweeps of the undecomposed
+    problem (within the package's relative tolerance).
     """
-    if h is None:
-        if cfg is None:
-            raise DecompositionError("need either a pipeline config or h")
-        h = cfg.levels_per_sweep
+    h = cfg.levels_per_sweep
     px, py, pz = layout
     decomp = decompose(global_dims, px * py * pz, layout, h)
 

@@ -1,10 +1,10 @@
 """Jacobi region updates and the serial sweep variants.
 
 ``sweep_naive`` is the correctness oracle for every other engine in the
-package; ``sweep_spatial_blocked`` runs a one-level block schedule through
-the serial executor ``pipeline.run_schedule``.  All variants share one
-per-cell summation order, ((x-)+(x+)) + ((y-)+(y+)) + ((z-)+(z+)) then
-* 1/6, so results agree bitwise whenever only the traversal order differs.
+package; ``sweep_spatial_blocked`` is one node sweep of a one-thread,
+one-level pipeline.  All variants share one per-cell summation order,
+((x-)+(x+)) + ((y-)+(y+)) + ((z-)+(z+)) then * 1/6, so results agree
+bitwise whenever only the traversal order differs.
 """
 
 from __future__ import annotations
@@ -46,18 +46,18 @@ def sweep_naive(grid: TwoGrid) -> None:
 def sweep_spatial_blocked(grid: TwoGrid, bs: tuple[int, int, int]) -> None:
     """Spatially blocked sweep; block size given as (bx, by, bz).
 
-    Runs a one-level block schedule (z outer, y middle, x inner over blocks)
-    through the serial executor.  Bitwise equal to ``sweep_naive`` because
-    the per-cell arithmetic is unchanged.
+    Runs one node sweep of a one-thread pipeline with T=1, which visits the
+    blocks z outer, y middle, x inner.  Bitwise equal to ``sweep_naive``
+    because the per-cell arithmetic is unchanged.
     """
     # Imported here because pipeline imports this module.
-    from .pipeline import BlockSchedule, run_schedule
+    from .pipeline import PipelineConfig, run_node_sweeps
 
     d = grid.dims
     for b, n in zip(bs, (d.nx, d.ny, d.nz)):
         if not 1 <= b <= n:
             raise GridError(f"block size {bs} outside interior extents")
-    run_schedule(grid, BlockSchedule([((0, 0, 0), d.shape)], bs, -1))
+    run_node_sweeps(grid, PipelineConfig(updates_per_thread=1, block=bs), 1)
 
 
 def _refresh_compressed_ghosts(grid: CompressedGrid, lo, hi, o_read: int) -> None:

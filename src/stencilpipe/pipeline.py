@@ -14,10 +14,11 @@ second condition respectively.  Counter increments happen after the
 block's writes (release on increment under the interpreter lock), so an
 observed counter value implies the corresponding data is visible.
 
-Every engine turns a time level into storage through ``_apply_levels`` and
-ends a sweep through ``_end_sweep``.  ``run_schedule``, the serial
-executor, runs the spatially blocked sweep and the serial distributed
-outer step; the thread pipeline calls the same two helpers.
+``_Runner`` is the one executor of a schedule: it turns a time level into
+storage through ``_apply_levels`` and ends a sweep through ``_end_sweep``.
+With one thread, one team and T levels a node sweep is the serial
+temporally blocked update, so the spatially blocked sweep (T=1) and the
+serial distributed outer step (T=h) are one-thread runs of it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class ScheduleError(ValueError):
 
 
 class PipelineTimeout(RuntimeError):
-    """A thread spun past the configured timeout (deadlock guard)."""
+    """A thread spun past ``_Runner._SPIN_TIMEOUT`` (deadlock guard)."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class PipelineConfig:
     sync: str = "relaxed"      # "barrier" | "relaxed"
     block: tuple[int, int, int] | None = None   # (bx, by, bz); None = whole domain
     storage: str = "twogrid"   # "twogrid" | "compressed"
-    spin_timeout: float = 30.0
 
     def __post_init__(self):
         if min(self.teams, self.team_size, self.updates_per_thread) < 1:
@@ -80,10 +80,12 @@ def effective_bounds(cfg: PipelineConfig, i: int) -> tuple[int, int]:
     return d_l, d_u
 
 
-def may_proceed(counters: list[int], i: int, cfg: PipelineConfig,
+def may_proceed(counters, i: int, cfg: PipelineConfig,
                 n_blocks: int | None = None) -> bool:
     """True iff thread i may start its next block under the distance rules.
 
+    Only ``counters[i-1]``, ``counters[i]`` and ``counters[i+1]`` are read,
+    so a mapping of those three threads serves as well as the full list.
     The race-avoidance condition saturates at the end of a sweep: once the
     predecessor has completed all ``n_blocks`` blocks, every value thread i
     could read exists, so a lead smaller than D_l cannot race.  Without
@@ -161,13 +163,8 @@ def build_schedule(dims: GridDims, cfg: PipelineConfig,
     pass the shrinking extended domains instead.
     """
     U = cfg.levels_per_sweep
-    shape = dims.shape
-    if U > min(shape):
-        raise ScheduleError(
-            f"U={U} updates per node sweep exceed the smallest interior "
-            f"extent {min(shape)}; degenerate pipeline")
     if level_domains is None:
-        level_domains = [((0, 0, 0), shape)] * U
+        level_domains = [((0, 0, 0), dims.shape)] * U
     elif len(level_domains) != U:
         raise ScheduleError(f"need {U} level domains, got {len(level_domains)}")
     return BlockSchedule(level_domains, cfg.block, direction)
@@ -185,21 +182,14 @@ class TraceEvent:
 
 def audit_trace(events, cfg: PipelineConfig,
                 n_blocks: int | None = None) -> list[TraceEvent]:
-    """Events violating the distance conditions at block start.
+    """Events whose counter snapshot :func:`may_proceed` would refuse.
 
-    ``n_blocks`` enables the same end-of-sweep saturation as
-    :func:`may_proceed`: a predecessor that finished the sweep satisfies
-    the race-avoidance condition regardless of distance.
+    ``n_blocks`` enables the end-of-sweep saturation of :func:`may_proceed`.
     """
-    bad = []
-    for ev in events:
-        d_l, d_u = effective_bounds(cfg, ev.thread)
-        prev_done = n_blocks is not None and ev.c_prev >= n_blocks
-        if ev.thread > 0 and not prev_done and ev.c_prev - ev.c_self < d_l:
-            bad.append(ev)
-        elif ev.thread < cfg.n_threads - 1 and ev.c_self - ev.c_next > d_u:
-            bad.append(ev)
-    return bad
+    return [ev for ev in events
+            if not may_proceed({ev.thread - 1: ev.c_prev, ev.thread: ev.c_self,
+                                ev.thread + 1: ev.c_next},
+                               ev.thread, cfg, n_blocks)]
 
 
 def trace_csv(events) -> str:
@@ -244,19 +234,12 @@ def _end_sweep(grid, sched: BlockSchedule) -> None:
         grid.shift_origin(sched.direction * U)
 
 
-def run_schedule(grid, sched: BlockSchedule) -> None:
-    """One sweep on the calling thread: every level of each block in
-    schedule order, then the sweep's swap or origin shift."""
-    levels = range(1, sched.n_levels + 1)
-    for blk in sched.order:
-        _apply_levels(grid, sched, blk, levels)
-    _end_sweep(grid, sched)
-
-
 class _Runner:
-    """Owns worker threads for one multi-sweep pipelined run."""
+    """The one schedule executor: runs ``sweeps`` node sweeps of ``cfg``,
+    on the calling thread when ``cfg`` has one thread, else on workers."""
 
-    _SPIN_BUDGET = 64
+    _SPIN_BUDGET = 64        # gate checks before a spinning thread yields
+    _SPIN_TIMEOUT = 30.0     # seconds a refused thread may spin
 
     def __init__(self, grid, cfg: PipelineConfig, sweeps: int,
                  level_domains=None, trace=None):
@@ -265,8 +248,10 @@ class _Runner:
         self.sweeps = sweeps
         self.trace = trace
         self.counters = [0] * cfg.n_threads
-        self.barrier = threading.Barrier(cfg.n_threads)
-        self.abort = threading.Event()
+        # One thread has nothing to wait for or to wake.
+        self.barrier = (threading.Barrier(cfg.n_threads)
+                        if cfg.n_threads > 1 else None)
+        self.aborted = False
         self.errors: list[BaseException] = []
         self._err_lock = threading.Lock()
 
@@ -293,11 +278,14 @@ class _Runner:
     def _fail(self, exc: BaseException) -> None:
         with self._err_lock:
             self.errors.append(exc)
-        self.abort.set()
-        self.barrier.abort()
+        self.aborted = True
+        if self.barrier is not None:
+            self.barrier.abort()
 
     def _sync(self) -> bool:
         """Barrier wait; False means the run is being torn down."""
+        if self.barrier is None:
+            return True
         try:
             self.barrier.wait()
             return True
@@ -327,7 +315,7 @@ class _Runner:
                     direction = 1
                 sched = self.schedules[direction]
                 self._run_sweep(i, sweep, sched)
-                if self.abort.is_set():
+                if self.aborted:
                     return
                 if not self._sync():
                     return
@@ -382,10 +370,11 @@ class _Runner:
         levels = self._levels(i)
         for b in range(sched.n_blocks):
             spins = 0
-            deadline = time.monotonic() + cfg.spin_timeout
             while not may_proceed(self.counters, i, cfg, sched.n_blocks):
-                if self.abort.is_set():
+                if self.aborted:
                     raise threading.BrokenBarrierError()
+                if spins == 0:
+                    deadline = time.monotonic() + self._SPIN_TIMEOUT
                 spins += 1
                 if spins > self._SPIN_BUDGET:
                     time.sleep(0)
@@ -404,12 +393,11 @@ def run_node_sweeps(grid, cfg: PipelineConfig, sweeps: int,
     _Runner(grid, cfg, sweeps, level_domains=level_domains).run()
 
 
-def instrumented_run(grid, cfg: PipelineConfig, sweeps: int,
-                     level_domains=None) -> list[TraceEvent]:
+def instrumented_run(grid, cfg: PipelineConfig, sweeps: int) -> list[TraceEvent]:
     """Like :func:`run_node_sweeps` but records a counter snapshot at every
     block start; feed the result to :func:`audit_trace`."""
     trace: list[TraceEvent] = []
-    _Runner(grid, cfg, sweeps, level_domains=level_domains, trace=trace).run()
+    _Runner(grid, cfg, sweeps, trace=trace).run()
     trace.sort(key=lambda ev: (ev.sweep, ev.thread, ev.block))
     return trace
 

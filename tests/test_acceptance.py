@@ -77,10 +77,11 @@ def test_criterion_2_distributed_equivalence(trajectory48):
             worst = max(worst, cmp.max_rel)
     # negative control: breaking the canonical x->y->z phase order must
     # corrupt corner-fed cells detectably
-    good, _ = run_distributed(DIMS48, PATTERN, (2, 2, 1), None,
-                              outer_steps=2, h=2)
-    bad, _ = run_distributed(DIMS48, PATTERN, (2, 2, 1), None,
-                             outer_steps=2, h=2, order=("z", "y", "x"))
+    serial = PipelineConfig(updates_per_thread=2)
+    good, _ = run_distributed(DIMS48, PATTERN, (2, 2, 1), serial,
+                              outer_steps=2)
+    bad, _ = run_distributed(DIMS48, PATTERN, (2, 2, 1), serial,
+                             outer_steps=2, order=("z", "y", "x"))
     ref = trajectory48[4]
     negative_ok = compare(ref, good).passed and not compare(ref, bad).passed
     _verdict(2, "distributed equivalence",

@@ -113,7 +113,7 @@ def test_single_rank_needs_no_messages():
     def program(rank, ep):
         g = local_grid(d, rank, pat)
         exchange_halos(g, d, rank, ep, sweep=0)
-        outer_step(g, d, rank)
+        outer_step(g, d, rank, PipelineConfig(updates_per_thread=2))
         return g.interior().copy()
 
     field = spawn_world(1, program)[0]
@@ -167,19 +167,22 @@ def test_outer_step_requires_matching_halo():
 def test_distributed_serial_matches_oracle():
     gd = GridDims(16, 16, 16)
     pat = FillPattern.random(37)
-    gathered, _ = run_distributed(gd, pat, (2, 2, 1), cfg=None,
-                                  outer_steps=3, h=2)
+    gathered, _ = run_distributed(gd, pat, (2, 2, 1),
+                                  PipelineConfig(updates_per_thread=2),
+                                  outer_steps=3)
     assert compare(oracle(gd, pat, 6).interior(), gathered).bitwise
 
 
 def test_distributed_serial_thin_unsplit_axis():
-    # h = 3 exceeds the 2-cell z extent: the serial step must not apply the
-    # pipeline's U <= min(extent) rule to an axis that is never split.
+    # h = 3 exceeds the 2-cell z extent, which is never split: one block
+    # per axis still tiles every level, serial or pipelined.
     gd = GridDims(16, 16, 2)
     pat = FillPattern.random(3)
-    gathered, _ = run_distributed(gd, pat, (2, 1, 1), cfg=None,
-                                  outer_steps=1, h=3)
-    assert compare(oracle(gd, pat, 3).interior(), gathered).bitwise
+    ref = oracle(gd, pat, 3).interior()
+    for cfg in (PipelineConfig(updates_per_thread=3),
+                PipelineConfig(team_size=3, updates_per_thread=1)):
+        gathered, _ = run_distributed(gd, pat, (2, 1, 1), cfg, outer_steps=1)
+        assert compare(ref, gathered).bitwise, cfg
 
 
 def test_distributed_pipelined_matches_oracle():
@@ -195,18 +198,20 @@ def test_distributed_hotplate_boundaries_survive():
     # physical Dirichlet walls must stay pinned on ranks without neighbors
     gd = GridDims(16, 16, 16)
     pat = FillPattern.hotplate()
-    gathered, _ = run_distributed(gd, pat, (2, 1, 1), cfg=None,
-                                  outer_steps=2, h=4)
+    gathered, _ = run_distributed(gd, pat, (2, 1, 1),
+                                  PipelineConfig(updates_per_thread=4),
+                                  outer_steps=2)
     assert compare(oracle(gd, pat, 8).interior(), gathered).bitwise
 
 
 def test_shuffled_phase_order_breaks_corners():
     gd = GridDims(16, 16, 16)
     pat = FillPattern.random(47)
-    good, _ = run_distributed(gd, pat, (2, 2, 1), cfg=None, outer_steps=2,
-                              h=2, order=("x", "y", "z"))
-    bad, _ = run_distributed(gd, pat, (2, 2, 1), cfg=None, outer_steps=2,
-                             h=2, order=("y", "x", "z"))
+    cfg = PipelineConfig(updates_per_thread=2)
+    good, _ = run_distributed(gd, pat, (2, 2, 1), cfg, outer_steps=2,
+                              order=("x", "y", "z"))
+    bad, _ = run_distributed(gd, pat, (2, 2, 1), cfg, outer_steps=2,
+                             order=("y", "x", "z"))
     ref = oracle(gd, pat, 4).interior()
     assert compare(ref, good).bitwise
     assert not compare(ref, bad).passed

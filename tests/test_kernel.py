@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.kernel import stencil_region, sweep_naive, sweep_spatial_blocked
-from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
-                                  build_schedule, run_schedule)
-from stencilpipe.verify import check_maximum_principle, compare, oracle
+from stencilpipe.pipeline import BlockSchedule, ScheduleError
+from stencilpipe.verify import check_maximum_principle, compare
 
 
 def _point(xm, xp, ym, yp, zm, zp) -> float:
@@ -16,12 +15,6 @@ def _point(xm, xp, ym, yp, zm, zp) -> float:
     a[1, 0, 1], a[1, 2, 1] = ym, yp
     a[0, 1, 1], a[2, 1, 1] = zm, zp
     return stencil_region(a, (slice(1, 2),) * 3)[0, 0, 0]
-
-
-def _whole(d: GridDims, levels: int, direction: int = -1):
-    """One-block schedule of ``levels`` levels over the interior."""
-    cfg = PipelineConfig(updates_per_thread=levels)
-    return build_schedule(d, cfg, direction=direction)
 
 
 def test_point_update_examples():
@@ -117,50 +110,6 @@ def test_blocked_rejects_oversized_blocks():
     g = allocate(GridDims(4, 4, 4), "twogrid", FillPattern.constant(0.0))
     with pytest.raises(GridError):
         sweep_spatial_blocked(g, (5, 4, 4))
-
-
-def test_update_block_full_interior_equals_sweep():
-    d = GridDims(6, 6, 6)
-    pat = FillPattern.random(11)
-    ref = allocate(d, "twogrid", pat)
-    g = allocate(d, "twogrid", pat)
-    sweep_naive(ref)
-    run_schedule(g, _whole(d, 1))
-    assert compare(ref, g).bitwise
-
-
-def test_update_block_level_parity():
-    # Two levels over one block == two naive sweeps.
-    d = GridDims(6, 6, 6)
-    pat = FillPattern.random(13)
-    ref = oracle(d, pat, 2)
-    g = allocate(d, "twogrid", pat)
-    run_schedule(g, _whole(d, 2))
-    # U = 2 is even: the result lands in the array that was current, no swap
-    assert g.active == 0
-    assert compare(ref, g).bitwise
-
-
-def test_update_block_compressed_one_level():
-    d = GridDims(8, 8, 8)
-    pat = FillPattern.random(3)
-    ref = oracle(d, pat, 1)
-    g = allocate(d, "compressed", pat, slack=1)
-    run_schedule(g, _whole(d, 1, direction=-1))
-    assert g.offset == 0
-    assert compare(ref, g).bitwise
-
-
-def test_update_block_compressed_round_trip():
-    # Forward sweep (shift -1) then reverse sweep (shift +1) == 2 levels.
-    d = GridDims(8, 8, 8)
-    pat = FillPattern.random(29)
-    ref = oracle(d, pat, 2)
-    g = allocate(d, "compressed", pat, slack=1)
-    run_schedule(g, _whole(d, 1, direction=-1))
-    run_schedule(g, _whole(d, 1, direction=+1))
-    assert g.offset == 1
-    assert compare(ref, g).bitwise
 
 
 @settings(max_examples=30, deadline=None)

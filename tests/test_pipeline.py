@@ -1,12 +1,15 @@
 import random
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stencilpipe import pipeline
 from stencilpipe.decomp import decompose, level_domains_for_rank
 from stencilpipe.grid import FillPattern, GridDims, allocate
-from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
+from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
+                                  PipelineTimeout, ScheduleError,
                                   audit_trace, build_schedule,
                                   default_block_size, effective_bounds,
                                   instrumented_run, may_proceed,
@@ -132,11 +135,18 @@ def test_schedule_shifts_and_clamps():
     assert lo == (7, 7, 0) and hi == (12, 12, 12)
 
 
-def test_schedule_rejects_degenerate_pipeline():
+@pytest.mark.parametrize("storage", ["twogrid", "compressed"])
+@pytest.mark.parametrize("sync", ["barrier", "relaxed"])
+def test_one_block_pipeline_deeper_than_grid_matches_oracle(sync, storage):
+    # U = 5 levels exceed every 4-cell extent; one block per axis still
+    # tiles every level, so the run is valid and exact.
     d = GridDims(4, 4, 4)
-    cfg = PipelineConfig(teams=1, team_size=5, updates_per_thread=1)
-    with pytest.raises(ScheduleError):
-        build_schedule(d, cfg)
+    pat = FillPattern.random(59)
+    cfg = PipelineConfig(teams=1, team_size=5, updates_per_thread=1,
+                         sync=sync, storage=storage)
+    g = allocate(d, storage, pat, slack=cfg.levels_per_sweep)
+    run_node_sweeps(g, cfg, 2)
+    assert compare(oracle(d, pat, 10), g).bitwise
 
 
 def test_schedule_rejects_thin_blocks():
@@ -157,12 +167,21 @@ def test_reverse_order_for_forward_shift():
 
 
 def test_single_thread_pipeline_matches_oracle():
+    # One thread over one block: the serial temporally blocked update.
     d = GridDims(10, 10, 10)
     pat = FillPattern.random(21)
-    cfg = PipelineConfig(teams=1, team_size=1, updates_per_thread=1)
-    g = allocate(d, "twogrid", pat)
-    run_node_sweeps(g, cfg, 5)
-    assert compare(oracle(d, pat, 5), g).bitwise
+    for storage, T, sweeps in (("twogrid", 1, 5),     # odd U: swap per sweep
+                               ("twogrid", 2, 1),     # even U: no swap
+                               ("compressed", 1, 1),  # origin moves down
+                               ("compressed", 1, 2)):  # and back up
+        cfg = PipelineConfig(updates_per_thread=T, storage=storage)
+        g = allocate(d, storage, pat, slack=T)
+        run_node_sweeps(g, cfg, sweeps)
+        assert compare(oracle(d, pat, sweeps * T), g).bitwise, (storage, T)
+        if storage == "twogrid":
+            assert g.active == sweeps * T % 2
+        else:
+            assert g.offset == (0 if sweeps % 2 else T)
 
 
 def test_team_pipeline_matches_oracle():
@@ -213,6 +232,32 @@ def test_compressed_ghost_refresh_needs_no_pattern(monkeypatch):
     monkeypatch.setattr(FillPattern, "evaluate", refuse)
     run_node_sweeps(g, cfg, 2)
     assert compare(ref, g).bitwise
+
+
+def test_stalled_thread_times_out(monkeypatch):
+    # Thread 1's gate never opens: the run must end soon after the spin
+    # timeout with an error naming the thread, and leave no worker behind.
+    monkeypatch.setattr(pipeline._Runner, "_SPIN_TIMEOUT", 0.2)
+    monkeypatch.setattr(pipeline, "may_proceed", lambda c, i, *a: i != 1)
+    d = GridDims(8, 8, 8)
+    cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
+                         block=(8, 4, 4))
+    g = allocate(d, "twogrid", FillPattern.random(61))
+    errors = []
+
+    def run():
+        try:
+            run_node_sweeps(g, cfg, 1)
+        except PipelineTimeout as exc:
+            errors.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=5.0)
+    assert not caller.is_alive()
+    assert len(errors) == 1 and "thread 1 " in str(errors[0])
+    assert not [th for th in threading.enumerate()
+                if th.name.startswith("pipe-")]
 
 
 def test_storage_mismatch_rejected():
