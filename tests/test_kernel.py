@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.kernel import stencil_region, sweep_naive, sweep_spatial_blocked
-from stencilpipe.pipeline import BlockSchedule, ScheduleError
-from stencilpipe.verify import check_maximum_principle, compare
+from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
+                                  run_node_sweeps)
+from stencilpipe.verify import check_maximum_principle, compare, oracle
 
 
 def _point(xm, xp, ym, yp, zm, zp) -> float:
@@ -110,6 +111,55 @@ def test_blocked_rejects_oversized_blocks():
     g = allocate(GridDims(4, 4, 4), "twogrid", FillPattern.constant(0.0))
     with pytest.raises(GridError):
         sweep_spatial_blocked(g, (5, 4, 4))
+
+
+def _whole(g, levels: int, sweeps: int = 1):
+    """Run ``sweeps`` one-thread sweeps of ``levels`` levels over one block."""
+    cfg = PipelineConfig(updates_per_thread=levels, storage=g.storage)
+    run_node_sweeps(g, cfg, sweeps)
+
+
+def test_update_block_full_interior_equals_sweep():
+    d = GridDims(6, 6, 6)
+    pat = FillPattern.random(11)
+    ref = allocate(d, "twogrid", pat)
+    g = allocate(d, "twogrid", pat)
+    sweep_naive(ref)
+    _whole(g, 1)
+    assert compare(ref, g).bitwise
+
+
+def test_update_block_level_parity():
+    # Two levels over one block == two naive sweeps.
+    d = GridDims(6, 6, 6)
+    pat = FillPattern.random(13)
+    ref = oracle(d, pat, 2)
+    g = allocate(d, "twogrid", pat)
+    _whole(g, 2)
+    # U = 2 is even: the result lands in the array that was current, no swap
+    assert g.active == 0
+    assert compare(ref, g).bitwise
+
+
+def test_update_block_compressed_one_level():
+    d = GridDims(8, 8, 8)
+    pat = FillPattern.random(3)
+    ref = oracle(d, pat, 1)
+    g = allocate(d, "compressed", pat, slack=1)
+    _whole(g, 1)
+    assert g.offset == 0
+    assert compare(ref, g).bitwise
+
+
+def test_update_block_compressed_round_trip():
+    # Forward sweep (shift -1) then reverse sweep (shift +1) == 2 levels.
+    d = GridDims(8, 8, 8)
+    pat = FillPattern.random(29)
+    ref = oracle(d, pat, 2)
+    g = allocate(d, "compressed", pat, slack=1)
+    _whole(g, 1, sweeps=2)
+    assert g.offset == 1
+    assert compare(ref, g).bitwise
 
 
 @settings(max_examples=30, deadline=None)
