@@ -234,7 +234,7 @@ def run_distributed(global_dims: GridDims, pattern: FillPattern,
     Every outer step exchanges halos of width h = ``cfg.levels_per_sweep``
     and runs one node sweep of ``cfg`` on each rank, so the gathered
     interior equals outer_steps * h naive sweeps of the undecomposed
-    problem (within the package's relative tolerance).
+    problem, bit for bit.
     """
     h = cfg.levels_per_sweep
     px, py, pz = layout

@@ -164,8 +164,8 @@ class CompressedGrid:
     """Single array; the logical box lives at ``offset`` within the slack.
 
     Every update writes one layer diagonally off its read position, so a
-    node sweep of U updates shifts the origin by -U (odd sweeps) or +U
-    (even sweeps).  ``slack`` must cover one full node sweep.
+    node sweep of U updates shifts the origin by -U while the offset is at
+    least U, else by +U.  ``slack`` must cover one full node sweep.
     """
 
     storage = "compressed"
@@ -292,12 +292,3 @@ def dump_field(grid, fh) -> None:
     for v in grid.full_view().ravel():
         fh.write("%.17g\n" % v)
 
-
-def load_field(fh) -> tuple[GridDims, np.ndarray]:
-    header = fh.readline().split()
-    nx, ny, nz, ghost = (int(t) for t in header)
-    dims = GridDims(nx, ny, nz, ghost)
-    flat = np.array([float(line) for line in fh], dtype=np.float64)
-    if flat.size != int(np.prod(dims.alloc_shape)):
-        raise GridError("dump payload does not match header extents")
-    return dims, flat.reshape(dims.alloc_shape)

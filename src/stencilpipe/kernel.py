@@ -87,7 +87,8 @@ def _refresh_compressed_ghosts(grid: CompressedGrid, lo, hi, o_read: int) -> Non
 def update_region_compressed(grid: CompressedGrid, lo, hi, o_read: int,
                              direction: int) -> None:
     """One time level over [lo, hi), reading at offset ``o_read`` and writing
-    one layer off in ``direction`` (-1 on odd node sweeps, +1 on even ones).
+    one layer off in ``direction`` (-1 while the sweep moves the origin down,
+    +1 while it moves it up).
 
     The right-hand side is materialized before assignment, which matches the
     sequential monotone-traversal semantics (forward with shift -1, reverse

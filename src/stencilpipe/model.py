@@ -59,16 +59,6 @@ def baseline_perf(mem_bw_saturated: float) -> float:
     return mem_bw_saturated / BYTES_PER_UPDATE
 
 
-def team_block_time(params: MachineParams, t: int, T: int) -> float:
-    """Seconds per cell for the t*T block updates performed by one team:
-    one memory transit plus t*T - 1 cache transits."""
-    tt = t * T
-    if tt < 1:
-        raise ValueError("t*T must be >= 1")
-    return (BYTES_PER_UPDATE / params.mem_bw_single) * (
-        1.0 + (tt - 1) * params.mem_bw_single / params.cache_bw)
-
-
 def pipelined_speedup(params: MachineParams, t: int, T: int) -> float:
     """Expected speedup of pipelined blocking over the baseline sweep;
     approaches cache_bw / mem_bw_saturated for large t*T."""

@@ -18,7 +18,10 @@ observed counter value implies the corresponding data is visible.
 storage through ``_apply_levels`` and ends a sweep through ``_end_sweep``.
 With one thread, one team and T levels a node sweep is the serial
 temporally blocked update, so the spatially blocked sweep (T=1) and the
-serial distributed outer step (T=h) are one-thread runs of it.
+serial distributed outer step (T=h) are one-thread runs of it.  Its
+threads run as a :func:`~stencilpipe.transport.run_group`: a thread that
+fails aborts the others and the run raises :class:`PipelineError` naming
+that thread.
 """
 
 from __future__ import annotations
@@ -30,13 +33,18 @@ from dataclasses import dataclass, field
 
 from .grid import CompressedGrid, GridDims, TwoGrid
 from .kernel import update_region, update_region_compressed
+from .transport import Aborted, run_group
 
 
 class ScheduleError(ValueError):
     """Block/shift geometry cannot tile the domain at every time level."""
 
 
-class PipelineTimeout(RuntimeError):
+class PipelineError(RuntimeError):
+    """A pipeline thread failed; the message names it."""
+
+
+class PipelineTimeout(PipelineError):
     """A thread spun past ``_Runner._SPIN_TIMEOUT`` (deadlock guard)."""
 
 
@@ -252,8 +260,6 @@ class _Runner:
         self.barrier = (threading.Barrier(cfg.n_threads)
                         if cfg.n_threads > 1 else None)
         self.aborted = False
-        self.errors: list[BaseException] = []
-        self._err_lock = threading.Lock()
 
         if cfg.storage == "twogrid":
             if not isinstance(grid, TwoGrid):
@@ -262,10 +268,13 @@ class _Runner:
         else:
             if not isinstance(grid, CompressedGrid):
                 raise ValueError("config expects compressed storage")
-            # Every run starts with a sweep that moves the origin U layers down.
-            if grid.offset < cfg.levels_per_sweep:
+            # A sweep moves the origin U layers down, or up when there is no
+            # room below; once the first sweep fits, every later one does.
+            U = cfg.levels_per_sweep
+            if grid.offset < U and grid.offset + U > grid.slack:
                 raise ScheduleError(f"compressed origin offset {grid.offset} "
-                                    f"< U={cfg.levels_per_sweep}")
+                                    f"has no room for U={U} in slack "
+                                    f"{grid.slack}")
             if level_domains is not None:
                 raise ScheduleError("compressed storage supports interior domains only")
             self.schedules = {
@@ -275,59 +284,43 @@ class _Runner:
 
     # -- worker plumbing ---------------------------------------------------
 
-    def _fail(self, exc: BaseException) -> None:
-        with self._err_lock:
-            self.errors.append(exc)
+    def run(self) -> None:
+        run_group(self.cfg.n_threads, self._worker, "pipe", self._abort,
+                  PipelineError)
+
+    def _abort(self) -> None:
         self.aborted = True
         if self.barrier is not None:
             self.barrier.abort()
 
-    def _sync(self) -> bool:
-        """Barrier wait; False means the run is being torn down."""
+    def _sync(self) -> None:
+        """Barrier wait; raises :class:`Aborted` once the run is torn down."""
         if self.barrier is None:
-            return True
+            return
         try:
             self.barrier.wait()
-            return True
         except threading.BrokenBarrierError:
-            return False
+            raise Aborted from None
 
-    def run(self) -> None:
-        cfg = self.cfg
-        if cfg.n_threads == 1:
-            self._worker(0)
-        else:
-            threads = [threading.Thread(target=self._worker, args=(i,),
-                                        name=f"pipe-{i}", daemon=True)
-                       for i in range(cfg.n_threads)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-        if self.errors:
-            raise self.errors[0]
+    def _schedule(self) -> BlockSchedule:
+        """Two-grid sweeps run down.  Compressed sweeps move the origin U
+        layers down while it has that room below, else up."""
+        if (self.grid.storage == "compressed"
+                and self.grid.offset < self.cfg.levels_per_sweep):
+            return self.schedules[1]
+        return self.schedules[-1]
 
     def _worker(self, i: int) -> None:
-        try:
-            for sweep in range(self.sweeps):
-                direction = -1
-                if self.cfg.storage == "compressed" and sweep % 2 == 1:
-                    direction = 1
-                sched = self.schedules[direction]
-                self._run_sweep(i, sweep, sched)
-                if self.aborted:
-                    return
-                if not self._sync():
-                    return
-                if i == 0:
-                    _end_sweep(self.grid, sched)
-                    self.counters[:] = [0] * len(self.counters)
-                if not self._sync():
-                    return
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - propagated to caller
-            self._fail(exc)
+        for sweep in range(self.sweeps):
+            # Thread 0 moves the origin between the two barriers, so every
+            # thread reads the same offset here.
+            sched = self._schedule()
+            self._run_sweep(i, sweep, sched)
+            self._sync()
+            if i == 0:
+                _end_sweep(self.grid, sched)
+                self.counters[:] = [0] * len(self.counters)
+            self._sync()
 
     # -- per-sweep work ----------------------------------------------------
 
@@ -362,8 +355,7 @@ class _Runner:
                 self._record(sweep, i, b)
                 _apply_levels(self.grid, sched, sched.order[b], levels)
                 self.counters[i] += 1
-            if not self._sync():
-                raise threading.BrokenBarrierError()
+            self._sync()
 
     def _run_sweep_relaxed(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         cfg = self.cfg
@@ -372,7 +364,7 @@ class _Runner:
             spins = 0
             while not may_proceed(self.counters, i, cfg, sched.n_blocks):
                 if self.aborted:
-                    raise threading.BrokenBarrierError()
+                    raise Aborted
                 if spins == 0:
                     deadline = time.monotonic() + self._SPIN_TIMEOUT
                 spins += 1

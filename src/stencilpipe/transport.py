@@ -13,6 +13,8 @@ Wire format (little-endian throughout):
 The loopback transport delivers byte-exact messages in FIFO order per
 (sender, receiver) channel and runs every rank as a thread of one
 process, which keeps multi-rank tests hermetic and deterministic.
+:func:`run_group` is the one fail-fast runner of concurrent members:
+the ranks of :func:`spawn_world` and the threads of a node pipeline.
 """
 
 from __future__ import annotations
@@ -33,6 +35,52 @@ PHASE_CODES = {"x": 0, "y": 1, "z": 2}
 
 class TransportError(RuntimeError):
     """Protocol violation or peer failure."""
+
+
+class Aborted(Exception):
+    """A group member stopped because another member failed."""
+
+
+def run_group(n: int, member, label: str, abort, error) -> list:
+    """Run ``member(i)`` for every ``i < n``; returns the results in order.
+
+    One member runs on the calling thread, more run on daemon threads
+    named ``f"{label}-{i}"``.  The first failure calls ``abort()``, which
+    must make every blocked member raise :class:`Aborted`; such members are
+    not reported.  The lowest-index member that failed on its own raises
+    ``error("<label> <i> failed: <exc>")`` chained to its exception, which
+    passes through unchanged when it already is an ``error`` (or is not an
+    ``Exception``, such as ``KeyboardInterrupt``).
+    """
+    results: list = [None] * n
+    failures: dict[int, BaseException] = {}
+
+    def run(i: int) -> None:
+        try:
+            results[i] = member(i)
+        except Aborted:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures[i] = exc
+            abort()
+
+    if n == 1:
+        run(0)
+    else:
+        threads = [threading.Thread(target=run, args=(i,),
+                                    name=f"{label}-{i}", daemon=True)
+                   for i in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    if failures:
+        i = min(failures)
+        exc = failures[i]
+        if isinstance(exc, error) or not isinstance(exc, Exception):
+            raise exc
+        raise error(f"{label} {i} failed: {exc!r}") from exc
+    return results
 
 
 @dataclass(frozen=True)
@@ -71,7 +119,7 @@ class Endpoint:
 
     _POLL = 0.1  # seconds between abort checks while blocked in recv
 
-    def __init__(self, world: "LoopbackWorld", rank: int):
+    def __init__(self, world: "_LoopbackWorld", rank: int):
         self._world = world
         self.rank = rank
 
@@ -82,8 +130,7 @@ class Endpoint:
         chan = self._world.channel(peer, self.rank)
         while True:
             if self._world.aborted.is_set():
-                raise TransportError(f"rank {self.rank}: world aborted while "
-                                     f"receiving from {peer}")
+                raise Aborted
             try:
                 raw = chan.get(timeout=self._POLL)
                 break
@@ -97,7 +144,7 @@ class Endpoint:
         return payload
 
 
-class LoopbackWorld:
+class _LoopbackWorld:
     def __init__(self, n_ranks: int):
         self.n_ranks = n_ranks
         self.aborted = threading.Event()
@@ -118,35 +165,12 @@ class LoopbackWorld:
 def spawn_world(n_ranks: int, program):
     """Run ``program(rank, endpoint)`` on every rank concurrently.
 
-    Returns the per-rank results in rank order.  Any rank failure aborts
-    the whole world and re-raises with the failing rank attached.
+    Returns the per-rank results in rank order.  A rank failure aborts the
+    whole world and raises :class:`TransportError` naming the lowest rank
+    that failed on its own (see :func:`run_group`).
     """
     if n_ranks < 1:
         raise ValueError(f"need at least one rank, got {n_ranks}")
-    world = LoopbackWorld(n_ranks)
-    results: list = [None] * n_ranks
-    failures: list[tuple[int, BaseException]] = []
-    lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        try:
-            results[rank] = program(rank, world.endpoint(rank))
-        except BaseException as exc:  # noqa: BLE001 - collected for the caller
-            with lock:
-                failures.append((rank, exc))
-            world.aborted.set()
-
-    if n_ranks == 1:
-        runner(0)
-    else:
-        threads = [threading.Thread(target=runner, args=(r,),
-                                    name=f"rank-{r}", daemon=True)
-                   for r in range(n_ranks)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-    if failures:
-        rank, exc = min(failures, key=lambda f: f[0])
-        raise TransportError(f"rank {rank} failed: {exc!r}") from exc
-    return results
+    world = _LoopbackWorld(n_ranks)
+    return run_group(n_ranks, lambda r: program(r, world.endpoint(r)),
+                     "rank", world.aborted.set, TransportError)

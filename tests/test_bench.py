@@ -79,8 +79,8 @@ def test_cli_bench_all_variants(capsys):
 
 
 def test_cli_bench_compressed_pipeline(capsys):
-    # warmup plus timed run shift the compressed origin by up to two node
-    # sweeps; the harness must reserve slack for both
+    # warmup plus an odd number of timed sweeps: with one node sweep of
+    # slack the origin must alternate down and up
     rc = cli_main(["bench", "--size", "16", "--variant", "pipeline",
                    "--storage", "compressed", "--teams", "1",
                    "--team-size", "2", "-T", "1", "--block", "16x8x8",

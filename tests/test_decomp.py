@@ -1,13 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 
+from stencilpipe import pipeline
 from stencilpipe.decomp import (Decomposition, DecompositionError,
                                 build_halo_plan, decompose, exchange_halos,
                                 level_domains_for_rank, local_grid, outer_step,
                                 run_distributed)
 from stencilpipe.grid import FillPattern, GridDims
 from stencilpipe.pipeline import PipelineConfig
-from stencilpipe.transport import spawn_world
+from stencilpipe.transport import TransportError, spawn_world
 from stencilpipe.verify import compare, oracle
 
 
@@ -224,3 +227,27 @@ def test_distributed_rejects_compressed_config():
     with pytest.raises(Exception):
         run_distributed(gd, FillPattern.constant(0.0), (2, 1, 1), cfg,
                         outer_steps=1)
+
+
+def test_pipeline_failure_in_a_rank_names_rank_and_thread(monkeypatch,
+                                                          run_bounded):
+    # A 17-cell x split gives rank 0 nine columns and rank 1 eight; pipe-1
+    # of rank 1 raises, rank 0 is torn down waiting for its next halo.
+    boom = FloatingPointError("boom in rank 1, thread 1")
+    apply_levels = pipeline._apply_levels
+
+    def failing(grid, sched, blk, levels):
+        if (grid.dims.nx == 8
+                and threading.current_thread().name == "pipe-1"):
+            raise boom
+        apply_levels(grid, sched, blk, levels)
+
+    monkeypatch.setattr(pipeline, "_apply_levels", failing)
+    cfg = PipelineConfig(team_size=2, updates_per_thread=1)
+    err = run_bounded(lambda: run_distributed(
+        GridDims(17, 8, 8), FillPattern.random(71), (2, 1, 1), cfg,
+        outer_steps=2))
+    assert isinstance(err, TransportError)
+    assert str(err).startswith("rank 1 failed: PipelineError(")
+    assert "pipe 1 failed: FloatingPointError" in str(err)
+    assert err.__cause__.__cause__ is boom

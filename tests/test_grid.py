@@ -6,8 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from stencilpipe.grid import (CompressedGrid, FillPattern, GridDims, GridError,
                               allocate, dump_field, extract_layers,
-                              inject_layers, load_field)
+                              inject_layers)
 from stencilpipe.kernel import sweep_naive
+
+
+def load_field(fh):
+    """Inverse of ``dump_field``: (dims, values over the dumped box)."""
+    nx, ny, nz, ghost = (int(t) for t in fh.readline().split())
+    dims = GridDims(nx, ny, nz, ghost)
+    flat = np.array([float(line) for line in fh], dtype=np.float64)
+    assert flat.size == np.prod(dims.alloc_shape)
+    return dims, flat.reshape(dims.alloc_shape)
 
 
 def test_dims_validation():

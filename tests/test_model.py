@@ -4,11 +4,17 @@ import pytest
 
 from stencilpipe.model import (BYTES_PER_UPDATE, MachineParams, NetworkParams,
                                baseline_perf, efficiency, multihalo_ratio,
-                               multihalo_time, pipelined_speedup,
-                               team_block_time)
+                               multihalo_time, pipelined_speedup)
 
 MACHINE = MachineParams()
 NET = NetworkParams()
+
+
+def team_block_time(params, t, T):
+    """Seconds per cell for a team's t*T block updates: one memory transit
+    plus t*T - 1 cache transits."""
+    return (BYTES_PER_UPDATE / params.mem_bw_single) * (
+        1.0 + (t * T - 1) * params.mem_bw_single / params.cache_bw)
 
 # Golden (ratio, efficiency) table for the default network parameters,
 # computed independently with plain-float arithmetic and frozen.
@@ -89,8 +95,10 @@ def test_block_time_and_speedup_identity():
 
 
 def test_block_time_single_thread_is_memory_bound():
-    assert team_block_time(MACHINE, 1, 1) == \
-        BYTES_PER_UPDATE / MACHINE.mem_bw_single
+    # one thread, one level: a single-core memory transit against the
+    # saturated baseline
+    assert pipelined_speedup(MACHINE, 1, 1) == \
+        MACHINE.mem_bw_single / MACHINE.mem_bw_saturated
 
 
 def test_params_validation():
@@ -99,7 +107,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         NetworkParams(latency=-1.0)
     with pytest.raises(ValueError):
-        team_block_time(MACHINE, 0, 1)
+        pipelined_speedup(MACHINE, 0, 1)
     with pytest.raises(ValueError):
         multihalo_time(0, 2, NET)
 

@@ -9,8 +9,8 @@ from stencilpipe import pipeline
 from stencilpipe.decomp import decompose, level_domains_for_rank
 from stencilpipe.grid import FillPattern, GridDims, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
-                                  PipelineTimeout, ScheduleError,
-                                  audit_trace, build_schedule,
+                                  PipelineError, PipelineTimeout,
+                                  ScheduleError, audit_trace, build_schedule,
                                   default_block_size, effective_bounds,
                                   instrumented_run, may_proceed,
                                   run_node_sweeps, trace_csv)
@@ -251,6 +251,35 @@ def test_stalled_thread_times_out(monkeypatch):
                 if th.name.startswith("pipe-")]
 
 
+@pytest.mark.parametrize("storage", ["twogrid", "compressed"])
+@pytest.mark.parametrize("sync", ["barrier", "relaxed"])
+def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
+                                         storage):
+    # pipe-1 raises on its third block: thread 0 runs ahead and thread 2
+    # waits behind it, and both must be torn down, not reported.
+    boom = FloatingPointError("boom in worker")
+    apply_levels = pipeline._apply_levels
+    calls = []
+
+    def failing(grid, sched, blk, levels):
+        if threading.current_thread().name == "pipe-1":
+            calls.append(blk)
+            if len(calls) == 3:
+                raise boom
+        apply_levels(grid, sched, blk, levels)
+
+    monkeypatch.setattr(pipeline, "_apply_levels", failing)
+    d = GridDims(8, 8, 8)
+    cfg = PipelineConfig(teams=1, team_size=3, updates_per_thread=1,
+                         block=(8, 4, 4), sync=sync, storage=storage)
+    g = allocate(d, storage, FillPattern.random(67),
+                 slack=cfg.levels_per_sweep)
+    err = run_bounded(lambda: run_node_sweeps(g, cfg, 2))
+    assert isinstance(err, PipelineError)
+    assert str(err).startswith("pipe 1 failed: FloatingPointError")
+    assert err.__cause__ is boom
+
+
 def test_storage_mismatch_rejected():
     d = GridDims(8, 8, 8)
     g = allocate(d, "twogrid", FillPattern.constant(0.0))
@@ -259,34 +288,30 @@ def test_storage_mismatch_rejected():
         run_node_sweeps(g, cfg, 1)
 
 
-def test_compressed_rerun_needs_origin_room():
-    # A run starts by moving the origin U layers down: after one sweep at
-    # slack U the origin sits at 0, so a second run must be refused before
-    # any write, while slack 2U leaves room for it.
+def test_compressed_rerun_at_slack_u_matches_oracle():
+    # A sweep moves the origin down while it has U layers of room below,
+    # else up, so slack U serves any sequence of calls.
     d = GridDims(12, 12, 12)
     pat = FillPattern.random(53)
-    cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
-                         storage="compressed")
-    g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
-    run_node_sweeps(g, cfg, 1)
-    before = g.data.copy()
-    with pytest.raises(ScheduleError):
-        run_node_sweeps(g, cfg, 1)
-    assert g.data.tobytes() == before.tobytes()
-
-    g = allocate(d, "compressed", pat, slack=2 * cfg.levels_per_sweep)
-    run_node_sweeps(g, cfg, 1)
-    run_node_sweeps(g, cfg, 1)
-    assert compare(oracle(d, pat, 8), g).bitwise
+    ref = oracle(d, pat, 32)
+    for sync in ("barrier", "relaxed"):
+        cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
+                             sync=sync, storage="compressed")
+        g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
+        for sweeps in (2, 1, 2, 1, 2):
+            run_node_sweeps(g, cfg, sweeps)
+        assert compare(ref, g).bitwise, sync
 
 
 def test_compressed_needs_slack():
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
                          storage="compressed")
-    g = allocate(d, "compressed", FillPattern.constant(0.0), slack=2)
+    g = allocate(d, "compressed", FillPattern.random(7), slack=2)
+    before = g.data.copy()
     with pytest.raises(ScheduleError):
         run_node_sweeps(g, cfg, 1)
+    assert g.data.tobytes() == before.tobytes()
 
 
 def test_instrumented_trace_obeys_distances():

@@ -1,11 +1,12 @@
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from stencilpipe.transport import (HEADER_SIZE, MAGIC, LoopbackWorld,
-                                   MessageHeader, TransportError,
-                                   decode_message, encode_message, spawn_world)
+from stencilpipe.transport import (HEADER_SIZE, MAGIC, MessageHeader,
+                                   TransportError, decode_message,
+                                   encode_message, spawn_world)
 
 
 def test_header_layout():
@@ -51,28 +52,35 @@ def test_encode_rejects_wrong_length():
 
 
 def test_loopback_fifo_order():
-    world = LoopbackWorld(2)
-    a = world.endpoint(0)
-    b = world.endpoint(1)
-    for sweep in range(5):
-        h = MessageHeader(sweep, 0, 0, 1, 8)
-        a.send(1, h, np.array([float(sweep)]))
-    for sweep in range(5):
-        h = MessageHeader(sweep, 0, 0, 1, 8)
-        assert b.recv(0, h)[0] == float(sweep)
+    def program(rank, ep):
+        if rank == 0:
+            for sweep in range(5):
+                h = MessageHeader(sweep, 0, 0, 1, 8)
+                ep.send(1, h, np.array([float(sweep)]))
+            return None
+        return [ep.recv(0, MessageHeader(sweep, 0, 0, 1, 8))[0]
+                for sweep in range(5)]
+
+    assert spawn_world(2, program)[1] == [float(s) for s in range(5)]
 
 
 def test_recv_validates_header():
-    world = LoopbackWorld(2)
-    world.endpoint(0).send(1, MessageHeader(0, 0, 0, 1, 8), np.array([1.0]))
-    with pytest.raises(TransportError):
-        world.endpoint(1).recv(0, MessageHeader(0, 0, 1, 1, 8))
+    def program(rank, ep):
+        if rank == 0:
+            ep.send(1, MessageHeader(0, 0, 0, 1, 8), np.array([1.0]))
+        else:
+            ep.recv(0, MessageHeader(0, 0, 1, 1, 8))
+
+    with pytest.raises(TransportError, match="rank 1: header mismatch"):
+        spawn_world(2, program)
 
 
 def test_no_self_channel():
-    world = LoopbackWorld(2)
-    with pytest.raises(TransportError):
-        world.channel(0, 0)
+    def program(rank, ep):
+        ep.send(rank, MessageHeader(0, 0, 0, 1, 8), np.array([1.0]))
+
+    with pytest.raises(TransportError, match="no channel 0 -> 0"):
+        spawn_world(2, program)
 
 
 def test_spawn_world_single_rank():
@@ -123,6 +131,24 @@ def test_abort_tears_down_blocked_ranks():
 
     with pytest.raises(TransportError, match="rank 0 failed"):
         spawn_world(2, program)
+
+
+def test_rank_failure_beats_the_receiver_it_aborts(run_bounded):
+    # Rank 0 waits for a message rank 1 never sends: the abort that ends
+    # rank 0's wait is not a failure of rank 0, so rank 1's error is the
+    # one reported, with its cause attached.
+    boom = ValueError("boom in rank 1")
+
+    def program(rank, ep):
+        if rank == 0:
+            ep.recv(1, MessageHeader(0, 0, 0, 1, 8))
+        time.sleep(0.05)
+        raise boom
+
+    err = run_bounded(lambda: spawn_world(2, program))
+    assert isinstance(err, TransportError)
+    assert str(err).startswith("rank 1 failed: ValueError")
+    assert err.__cause__ is boom
 
 
 def test_all_pairs_exchange():

@@ -3,15 +3,15 @@ import pytest
 
 from stencilpipe.grid import FillPattern, GridDims, allocate
 from stencilpipe.kernel import sweep_naive
-from stencilpipe.verify import (REL_TOL, check_maximum_principle, compare,
-                                oracle, oracle_trajectory)
+from stencilpipe import verify
+from stencilpipe.verify import check_maximum_principle, compare, oracle
 
 
 def test_compare_identical_is_bitwise():
     a = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
     cmp = compare(a, a.copy())
     assert cmp.bitwise and cmp.passed
-    assert cmp.max_rel == 0.0 and cmp.max_abs == 0.0
+    assert cmp.max_abs == 0.0
     assert "PASS" in str(cmp) and "bitwise" in str(cmp)
 
 
@@ -20,9 +20,10 @@ def test_compare_one_ulp():
     b = a.copy()
     b[1, 1, 1] = np.nextafter(1.0, 2.0)
     cmp = compare(a, b)
-    assert not cmp.bitwise
-    assert cmp.passed  # one ulp is far below 1e-13
+    assert not cmp.bitwise and not cmp.passed  # bitwise is the only verdict
     assert cmp.location == (1, 1, 1)
+    assert cmp.max_abs == np.nextafter(1.0, 2.0) - 1.0
+    assert str(cmp).startswith("FAIL at (1, 1, 1)")
 
 
 def test_compare_detects_relative_error():
@@ -33,12 +34,12 @@ def test_compare_detects_relative_error():
     assert not cmp.passed
     assert cmp.location == (0, 1, 0)
     assert "FAIL" in str(cmp)
-    assert np.isclose(cmp.max_rel, 1.0e-6)
+    assert np.isclose(cmp.max_abs, 1.0e-14, rtol=1e-6, atol=0.0)
 
 
 def test_compare_zero_fields():
     a = np.zeros((2, 2, 2))
-    assert compare(a, a.copy()).passed  # no division blowup at zero
+    assert compare(a, a.copy()).passed
 
 
 def test_compare_accepts_grids_and_arrays():
@@ -53,21 +54,26 @@ def test_compare_shape_mismatch():
         compare(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
 
-def test_default_tolerance():
-    assert REL_TOL == 1e-13
+def test_compare_has_no_tolerance():
+    # Signed zeros are equal as numbers but differ bit for bit.
+    a = np.zeros((2, 2, 2))
+    b = a.copy()
+    b[0, 0, 1] = -0.0
+    cmp = compare(a, b)
+    assert not cmp.passed and cmp.location == (0, 0, 1)
+    assert not hasattr(verify, "REL_TOL")
+    with pytest.raises(TypeError):
+        compare(a, b, tol=1.0)
 
 
 def test_oracle_counts_levels():
     d = GridDims(6, 6, 6)
     pat = FillPattern.random(8)
-    traj = oracle_trajectory(d, pat, 3)
-    assert len(traj) == 4
     g = allocate(d, "twogrid", pat)
-    assert np.array_equal(traj[0], g.interior())
+    assert np.array_equal(oracle(d, pat, 0).interior(), g.interior())
     for k in (1, 2, 3):
         sweep_naive(g)
-        assert np.array_equal(traj[k], g.interior())
-    assert np.array_equal(oracle(d, pat, 3).interior(), traj[3])
+        assert np.array_equal(oracle(d, pat, k).interior(), g.interior())
 
 
 def test_maximum_principle_checker():
