@@ -119,17 +119,32 @@ class FillPattern:
 
 
 class TwoGrid:
-    """Ping-pong pair of arrays; ``active`` selects the current level."""
+    """Ping-pong pair of arrays; ``active`` selects the current level.
+
+    ``a`` and ``b`` share one buffer: ``b`` starts at least a page past
+    ``a``'s end, an odd number of 64-byte lines from ``a``'s start, so
+    their distance is never a large power of two that aliases in caches.
+    """
 
     storage = "twogrid"
 
     def __init__(self, dims: GridDims, pattern: FillPattern):
         self.dims = dims
         g = dims.ghost
-        lo = tuple(-g for _ in range(3))
-        hi = tuple(n + g for n in dims.shape)
-        self.a = pattern.evaluate(lo, hi)
-        self.b = self.a.copy()
+        shape = dims.alloc_shape
+        size = shape[0] * shape[1] * shape[2]
+        # In lines of 8 doubles: a, then a page, rounded up to odd.
+        start = 8 * ((-(-size // 8) + 64) | 1)
+        buf = np.empty(start + size)
+        self.a = buf[:size].reshape(shape)
+        self.b = buf[start:].reshape(shape)
+        # Filling in eighths of z bounds the pattern's temporaries.
+        lo, hi = (-g,) * 3, tuple(n - g for n in shape)
+        step = -(-shape[0] // 8)
+        for z in range(lo[0], hi[0], step):
+            self.a[z + g:z + g + step] = pattern.evaluate(
+                (z, *lo[1:]), (min(z + step, hi[0]), *hi[1:]))
+        self.b[...] = self.a
         self.active = 0
 
     @property
@@ -139,10 +154,6 @@ class TwoGrid:
     @property
     def other(self) -> np.ndarray:
         return self.b if self.active == 0 else self.a
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(current, other) at this instant."""
-        return (self.current, self.other)
 
     def swap(self) -> None:
         self.active ^= 1
@@ -186,10 +197,24 @@ class CompressedGrid:
         sl = tuple(slice(slack, slack + n + 2) for n in dims.shape)
         self.data[sl] = box
         # Dirichlet ghost faces (low, high) per array axis, each one layer
-        # thick along its axis; the compressed kernel restores the shell
-        # from these as the origin moves.
+        # thick along its axis; ``restore_ghosts`` copies from these.
         self.faces = [(np.take(box, [0], axis=d), np.take(box, [-1], axis=d))
                       for d in range(3)]
+
+    def restore_ghosts(self, lo, hi, o: int) -> None:
+        """Rewrite the Dirichlet ghost faces next to [lo, hi) of the logical
+        box at offset ``o``.  The ghost ring travels with the origin, so a
+        level update that touches the domain edge needs them restored first.
+        """
+        view = self.data[o:, o:, o:]
+        box = [slice(l + 1, h + 1) for l, h in zip(lo, hi)]
+        for d, n in enumerate(self.dims.shape):
+            for face, at, touches in ((self.faces[d][0], 0, lo[d] == 0),
+                                      (self.faces[d][1], n + 1, hi[d] == n)):
+                if touches:
+                    dst, src = box.copy(), box.copy()
+                    dst[d], src[d] = slice(at, at + 1), slice(0, 1)
+                    view[tuple(dst)] = face[tuple(src)]
 
     def shift_origin(self, delta: int) -> None:
         new = self.offset + delta

@@ -1,17 +1,20 @@
-"""Jacobi region updates and the serial sweep variants.
+"""The Jacobi region update and the serial sweep variants.
 
-``sweep_naive`` is the correctness oracle for every other engine in the
-package; ``sweep_spatial_blocked`` is one node sweep of a one-thread,
-one-level pipeline.  All variants share one per-cell summation order,
-((x-)+(x+)) + ((y-)+(y+)) + ((z-)+(z+)) then * 1/6, so results agree
-bitwise whenever only the traversal order differs.
+``update_region`` is the one function that evaluates the stencil; a
+compressed level passes it two overlapping views of one array, which is
+safe because the right-hand side is materialized first.  ``sweep_naive``
+is the correctness oracle for every other engine in the package;
+``sweep_spatial_blocked`` is one node sweep of a one-thread, one-level
+pipeline.  All variants share one per-cell summation order, ((x-)+(x+))
++ ((y-)+(y+)) + ((z-)+(z+)) then * 1/6, so results agree bitwise whenever
+only the traversal order differs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import CompressedGrid, GridError, TwoGrid
+from .grid import GridError, TwoGrid
 
 ONE_SIXTH = 1.0 / 6.0
 
@@ -58,47 +61,3 @@ def sweep_spatial_blocked(grid: TwoGrid, bs: tuple[int, int, int]) -> None:
         if not 1 <= b <= n:
             raise GridError(f"block size {bs} outside interior extents")
     run_node_sweeps(grid, PipelineConfig(updates_per_thread=1, block=bs), 1)
-
-
-def _refresh_compressed_ghosts(grid: CompressedGrid, lo, hi, o_read: int) -> None:
-    """Rewrite Dirichlet ghost faces adjacent to [lo, hi) at the read level.
-
-    The ghost ring travels with the shifting origin, and a given array cell
-    serves different logical boundary cells at different levels, so the
-    boundary values must be restored right before each block update that
-    touches the domain edge.  They are copied from the faces the grid
-    cached at allocation.
-    """
-    n = grid.dims.shape
-    base = o_read + 1
-    for d in range(3):
-        low, high = grid.faces[d]
-        for face, boundary, touches in ((low, -1, lo[d] == 0),
-                                        (high, n[d], hi[d] == n[d])):
-            if not touches:
-                continue
-            src = [slice(l + 1, h + 1) for l, h in zip(lo, hi)]
-            dst = [slice(l + base, h + base) for l, h in zip(lo, hi)]
-            src[d] = slice(0, 1)
-            dst[d] = slice(boundary + base, boundary + base + 1)
-            grid.data[tuple(dst)] = face[tuple(src)]
-
-
-def update_region_compressed(grid: CompressedGrid, lo, hi, o_read: int,
-                             direction: int) -> None:
-    """One time level over [lo, hi), reading at offset ``o_read`` and writing
-    one layer off in ``direction`` (-1 while the sweep moves the origin down,
-    +1 while it moves it up).
-
-    The right-hand side is materialized before assignment, which matches the
-    sequential monotone-traversal semantics (forward with shift -1, reverse
-    with shift +1): no cell that a later update reads is overwritten early.
-    """
-    if direction not in (-1, 1):
-        raise GridError(f"direction must be -1 or +1, got {direction}")
-    _refresh_compressed_ghosts(grid, lo, hi, o_read)
-    base = o_read + 1
-    center = tuple(slice(l + base, h + base) for l, h in zip(lo, hi))
-    dst = tuple(slice(l + base + direction, h + base + direction)
-                for l, h in zip(lo, hi))
-    grid.data[dst] = stencil_region(grid.data, center)

@@ -32,8 +32,10 @@ import time
 from dataclasses import dataclass, field
 
 from .grid import CompressedGrid, GridDims, TwoGrid
-from .kernel import update_region, update_region_compressed
+from .kernel import update_region
 from .transport import Aborted, run_group
+
+update_region_compressed = None  # never called; perfbench/tracer.py patches it
 
 
 class ScheduleError(ValueError):
@@ -91,6 +93,11 @@ def effective_bounds(cfg: PipelineConfig, i: int) -> tuple[int, int]:
 def may_proceed(counters, i: int, cfg: PipelineConfig,
                 n_blocks: int | None = None) -> bool:
     """True iff thread i may start its next block under the distance rules.
+
+    D_l is the rule that keeps the pipeline race-free: thread i starts a
+    block only once its predecessor has written every cell it reads and
+    no longer reads a cell it overwrites.  D_u only bounds the spread
+    between threads, for cache reuse; no result depends on it.
 
     Only ``counters[i-1]``, ``counters[i]`` and ``counters[i+1]`` are read,
     so a mapping of those three threads serves as well as the full list.
@@ -213,23 +220,23 @@ def _apply_levels(grid, sched: BlockSchedule, blk, levels) -> None:
 
     The one place a time level becomes storage: two-grid level tau reads
     array (tau-1) % 2 of the pair current at sweep start and writes the
-    other; compressed level tau reads at the sweep-start origin moved
-    tau-1 layers in the schedule's direction and writes one layer further.
-    The grid swaps or shifts only in :func:`_end_sweep`, after every level
-    of the sweep is done, so the sweep-start state is the grid's state.
+    other; compressed level tau restores the ghost faces at read offset r
+    (the sweep-start origin moved tau-1 layers in direction s), then
+    updates the view of ``grid.data`` at r into the view at r + s.  The
+    grid swaps or shifts only in :func:`_end_sweep`, after every level of
+    the sweep is done, so the sweep-start state is the grid's state.
     """
-    if grid.storage == "twogrid":
-        arrays = grid.arrays()
-        g = grid.dims.ghost
-        for tau in levels:
-            lo, hi = sched.region(blk, tau)
-            update_region(arrays[(tau - 1) % 2], arrays[tau % 2], g, lo, hi)
-    else:
-        o0, direction = grid.offset, sched.direction
-        for tau in levels:
-            lo, hi = sched.region(blk, tau)
-            update_region_compressed(grid, lo, hi, o0 + direction * (tau - 1),
-                                     direction)
+    g, s = grid.dims.ghost, sched.direction
+    for tau in levels:
+        lo, hi = sched.region(blk, tau)
+        if grid.storage == "twogrid":
+            pair = (grid.current, grid.other)
+            src, dst = pair[(tau - 1) % 2], pair[tau % 2]
+        else:
+            r = grid.offset + s * (tau - 1)
+            grid.restore_ghosts(lo, hi, r)
+            src, dst = grid.data[r:, r:, r:], grid.data[r + s:, r + s:, r + s:]
+        update_region(src, dst, g, lo, hi)
 
 
 def _end_sweep(grid, sched: BlockSchedule) -> None:

@@ -124,7 +124,12 @@ class Endpoint:
         self.rank = rank
 
     def send(self, peer: int, header: MessageHeader, payload: np.ndarray) -> None:
-        self._world.channel(self.rank, peer).put(encode_message(header, payload))
+        try:
+            raw = encode_message(header, payload)
+        except TransportError as exc:
+            raise TransportError(
+                f"rank {self.rank}: bad message to {peer}: {exc}") from exc
+        self._world.channel(self.rank, peer).put(raw)
 
     def recv(self, peer: int, expect: MessageHeader) -> np.ndarray:
         chan = self._world.channel(peer, self.rank)
@@ -136,7 +141,11 @@ class Endpoint:
                 break
             except queue.Empty:
                 continue
-        header, payload = decode_message(raw)
+        try:
+            header, payload = decode_message(raw)
+        except TransportError as exc:
+            raise TransportError(
+                f"rank {self.rank}: bad message from {peer}: {exc}") from exc
         if header != expect:
             raise TransportError(
                 f"rank {self.rank}: header mismatch from {peer}: "

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stencilpipe.decomp import Decomposition, local_grid
 from stencilpipe.grid import (CompressedGrid, FillPattern, GridDims, GridError,
-                              allocate, dump_field, extract_layers,
+                              TwoGrid, allocate, dump_field, extract_layers,
                               inject_layers)
 from stencilpipe.kernel import sweep_naive
 
@@ -156,6 +157,35 @@ def test_ghost_cells_never_written_by_sweeps():
     mask[1:-1, 1:-1, 1:-1] = False
     assert np.array_equal(g.a[mask], guard_a[mask])
     assert np.array_equal(g.b[mask], guard_b[mask])
+
+
+def _assert_staggered(grid, want):
+    """``a`` and ``b`` never alias in caches and both hold ``want`` bitwise."""
+    a, b = grid.a, grid.b
+    gap = b.ctypes.data - a.ctypes.data
+    assert gap % 64 == 0 and (gap // 64) % 2 == 1
+    assert gap >= a.nbytes + 4096
+    assert not np.shares_memory(a, b)
+    assert a.tobytes() == want.tobytes()
+    assert b.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ghost", [1, 4])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 3), (16, 16, 16),
+                                   (31, 8, 17), (48, 48, 48)])
+def test_twogrid_arrays_are_staggered(shape, ghost):
+    d = GridDims(*shape, ghost=ghost)
+    pat = FillPattern.random(5)
+    want = pat.evaluate((-ghost,) * 3, tuple(n + ghost for n in d.shape))
+    _assert_staggered(TwoGrid(d, pat), want)
+
+
+def test_local_grid_arrays_are_staggered():
+    dec = Decomposition(GridDims(20, 12, 9), (2, 1, 1), halo=3)
+    pat = FillPattern.random(8)
+    lo = [r[0] - 3 for r in dec.ranges(1)]
+    hi = [r[1] + 3 for r in dec.ranges(1)]
+    _assert_staggered(local_grid(dec, 1, pat), pat.evaluate(lo, hi))
 
 
 def test_dump_load_round_trip():

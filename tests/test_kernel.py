@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
-from stencilpipe.kernel import stencil_region, sweep_naive, sweep_spatial_blocked
+from stencilpipe.kernel import (stencil_region, sweep_naive,
+                                sweep_spatial_blocked, update_region)
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
-                                  run_node_sweeps)
+                                  _apply_levels, run_node_sweeps)
 from stencilpipe.verify import check_maximum_principle, compare, oracle
 
 
@@ -160,6 +161,42 @@ def test_update_block_compressed_round_trip():
     _whole(g, 1, sweeps=2)
     assert g.offset == 1
     assert compare(ref, g).bitwise
+
+
+@st.composite
+def _compressed_levels(draw):
+    """(array-order shape, box lo, box hi, slack, direction, read offset)."""
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    lo = tuple(draw(st.integers(0, n - 1)) for n in shape)
+    hi = tuple(draw(st.integers(l + 1, n)) for l, n in zip(lo, shape))
+    slack = draw(st.integers(1, 3))
+    s = draw(st.sampled_from((-1, 1)))
+    r = draw(st.integers(1, slack) if s == -1 else st.integers(0, slack - 1))
+    return shape, lo, hi, slack, s, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_compressed_levels(), seed=st.integers(0, 10_000))
+@example(case=((4, 5, 6), (0, 0, 0), (4, 5, 6), 1, -1, 1), seed=1)
+@example(case=((4, 5, 6), (0, 0, 0), (4, 5, 6), 2, 1, 0), seed=2)
+def test_compressed_level_matches_twogrid_update(case, seed):
+    # One compressed level over [lo, hi) through _apply_levels, with the
+    # ghost ring at the read offset wiped, equals the two-grid update of
+    # the same box from the same field.
+    shape, lo, hi, slack, s, r = case
+    dims = GridDims(*shape[::-1])
+    pat = FillPattern.random(seed)
+    ref = allocate(dims, "twogrid", pat)
+    update_region(ref.current, ref.other, 1, lo, hi)
+    g = allocate(dims, "compressed", pat, slack=slack)
+    field = g.interior().copy()
+    g.data[...] = np.nan
+    g.shift_origin(r - g.offset)
+    g.interior()[...] = field
+    _apply_levels(g, BlockSchedule([(lo, hi)], None, s), (0, 0, 0), [1])
+    box = tuple(slice(l + 1, h + 1) for l, h in zip(lo, hi))
+    w = r + s
+    assert g.data[w:, w:, w:][box].tobytes() == ref.other[box].tobytes()
 
 
 @settings(max_examples=30, deadline=None)

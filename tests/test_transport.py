@@ -151,6 +151,49 @@ def test_rank_failure_beats_the_receiver_it_aborts(run_bounded):
     assert err.__cause__ is boom
 
 
+def _bad_bytes_to_rank_1(raw: bytes):
+    """A two-rank world where rank 0 puts ``raw`` on its channel to rank 1,
+    which waits for one 8-byte message."""
+    def program(rank, ep):
+        if rank == 0:
+            ep._world.channel(0, 1).put(raw)
+        else:
+            ep.recv(0, MessageHeader(0, 0, 0, 1, 8))
+
+    return lambda: spawn_world(2, program)
+
+
+def _bad_magic() -> bytes:
+    raw = bytearray(encode_message(MessageHeader(0, 0, 0, 1, 8), np.array([1.0])))
+    struct.pack_into("<I", raw, 0, 0xDEADBEEF)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (bytes(10), "truncated message header"),
+    (_bad_magic(), "bad magic 0xDEADBEEF"),
+], ids=["truncated", "bad-magic"])
+def test_bad_message_names_the_receiver(run_bounded, raw, reason):
+    err = run_bounded(_bad_bytes_to_rank_1(raw))
+    assert isinstance(err, TransportError)
+    assert str(err) == f"rank 1: bad message from 0: {reason}"
+    assert str(err.__cause__) == reason
+
+
+def test_mis_sized_send_names_the_sender(run_bounded):
+    # Rank 1 waits in recv for the message rank 0 fails to encode.
+    def program(rank, ep):
+        if rank == 0:
+            ep.send(1, MessageHeader(0, 0, 0, 1, 16), np.array([1.0]))
+        else:
+            ep.recv(0, MessageHeader(0, 0, 0, 1, 16))
+
+    err = run_bounded(lambda: spawn_world(2, program))
+    assert isinstance(err, TransportError)
+    assert str(err) == ("rank 0: bad message to 1: "
+                        "payload_len 16 != payload bytes 8")
+
+
 def test_all_pairs_exchange():
     n = 8
 
