@@ -6,14 +6,16 @@ direction and then applies h local time levels, where level s updates a
 region h-s layers larger than the interior on every side that has a
 neighbor, so the interior ends exactly h global sweeps ahead.
 
-Halos travel consecutively along x, then y, then z; the y and z slabs
-include the ghost extensions of the directions already exchanged, which
-delivers edge and corner data transitively without diagonal messages.
+Halos travel consecutively along x, then y, then z.  The phase on array
+axis a (z=0, y=1, x=2) extends its slab by (h, h) ghost layers on every
+array axis d > a and by (0, 0) elsewhere, so the y slab spans the x ghosts
+and the z slab the x and y ghosts.  That delivers edge and corner data
+transitively without diagonal messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,71 +126,34 @@ def local_grid(decomp: Decomposition, rank: int, pattern: FillPattern) -> TwoGri
     return TwoGrid(decomp.local_dims(rank), _ShiftedPattern(pattern, origin))
 
 
-# Phases in canonical exchange order with their array axes.
-_PHASES = (("x", 2), ("y", 1), ("z", 0))
-_FACE = {2: ("-x", "+x"), 1: ("-y", "+y"), 0: ("-z", "+z")}
-
-
-@dataclass(frozen=True)
-class HaloPhase:
-    name: str
-    axis: int                       # array axis
-    ext: tuple                      # tangential ghost extensions, array order
-
-
-def build_halo_plan(halo: int) -> list[HaloPhase]:
-    """Fixed slab geometry: each phase's slab includes the ghost
-    extensions of the canonically earlier directions."""
-    plan = []
-    done: set[int] = set()
-    for name, axis in _PHASES:
-        ext = tuple((halo, halo) if d in done else (0, 0) for d in range(3))
-        plan.append(HaloPhase(name, axis, ext))
-        done.add(axis)
-    return plan
+# Canonical phase order.  A phase's slab carries the ghost layers that the
+# phases before it filled, so corners arrive only in this order.
+_ORDER = ("x", "y", "z")
 
 
 def exchange_halos(grid: TwoGrid, decomp: Decomposition, rank: int,
-                   endpoint: Endpoint, sweep: int,
-                   order: tuple[str, ...] = ("x", "y", "z")) -> None:
+                   endpoint: Endpoint, sweep: int) -> None:
     """One exchange round: all ghost shells of depth h filled from neighbors.
 
-    ``order`` exists so tests can demonstrate that corner delivery depends
-    on executing the canonical x -> y -> z sequence; the slab geometry
-    itself stays fixed.
+    Each phase sends to both neighbors, then receives from both.  A peer's
+    slab has the same tangential extents as ours, so the message expected
+    from a peer is the one sent to it, seen from the other side.
     """
     h = decomp.halo
-    plan = {p.name: p for p in build_halo_plan(h)}
-    for name in order:
-        phase = plan[name]
-        lo_face, hi_face = _FACE[phase.axis]
-        low = decomp.neighbor(rank, phase.axis, high=False)
-        high = decomp.neighbor(rank, phase.axis, high=True)
-        code = PHASE_CODES[name]
-        if low is not None:
-            buf = extract_layers(grid, lo_face, h, phase.ext)
-            endpoint.send(low, MessageHeader(sweep, code, 0, h, 8 * buf.size), buf)
-        if high is not None:
-            buf = extract_layers(grid, hi_face, h, phase.ext)
-            endpoint.send(high, MessageHeader(sweep, code, 1, h, 8 * buf.size), buf)
-        if low is not None:
-            expect = MessageHeader(sweep, code, 1, h,
-                                   8 * _slab_cells(grid.dims, phase, h))
-            inject_layers(grid, lo_face, h, endpoint.recv(low, expect), phase.ext)
-        if high is not None:
-            expect = MessageHeader(sweep, code, 0, h,
-                                   8 * _slab_cells(grid.dims, phase, h))
-            inject_layers(grid, hi_face, h, endpoint.recv(high, expect), phase.ext)
-
-
-def _slab_cells(dims: GridDims, phase: HaloPhase, h: int) -> int:
-    cells = h
-    for d in range(3):
-        if d == phase.axis:
-            continue
-        el, eh = phase.ext[d]
-        cells *= dims.shape[d] + el + eh
-    return cells
+    for name in _ORDER:
+        axis = "zyx".index(name)
+        ext = tuple((h, h) if d > axis else (0, 0) for d in range(3))
+        peers = [(side, peer) for side in (0, 1) if (peer := decomp.neighbor(
+            rank, axis, high=bool(side))) is not None]
+        sent = {}
+        for side, peer in peers:
+            buf = extract_layers(grid, "-+"[side] + name, h, ext)
+            sent[side] = MessageHeader(sweep, PHASE_CODES[name], side, h,
+                                       8 * buf.size)
+            endpoint.send(peer, sent[side], buf)
+        for side, peer in peers:
+            buf = endpoint.recv(peer, replace(sent[side], side=1 - side))
+            inject_layers(grid, "-+"[side] + name, h, buf, ext)
 
 
 def level_domains_for_rank(decomp: Decomposition, rank: int,
@@ -207,6 +172,14 @@ def level_domains_for_rank(decomp: Decomposition, rank: int,
     return domains
 
 
+def _check_config(cfg: PipelineConfig, h: int) -> None:
+    if cfg.storage != "twogrid":
+        raise DecompositionError("distributed runs use two-grid storage")
+    if cfg.levels_per_sweep != h:
+        raise DecompositionError(
+            f"pipeline applies U={cfg.levels_per_sweep} levels, halo is {h}")
+
+
 def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
                cfg: PipelineConfig) -> None:
     """Apply h = ``decomp.halo`` local time levels between exchanges.
@@ -216,34 +189,31 @@ def outer_step(grid: TwoGrid, decomp: Decomposition, rank: int,
     ``PipelineConfig(updates_per_thread=h)``: one thread running one block.
     """
     h = decomp.halo
-    if cfg.storage != "twogrid":
-        raise DecompositionError("distributed runs use two-grid storage")
-    if cfg.levels_per_sweep != h:
-        raise DecompositionError(
-            f"pipeline applies U={cfg.levels_per_sweep} levels, halo is {h}")
+    _check_config(cfg, h)
     run_node_sweeps(grid, cfg, 1,
                     level_domains=level_domains_for_rank(decomp, rank, h))
 
 
 def run_distributed(global_dims: GridDims, pattern: FillPattern,
                     layout: tuple[int, int, int], cfg: PipelineConfig,
-                    outer_steps: int,
-                    order: tuple[str, ...] = ("x", "y", "z")):
+                    outer_steps: int):
     """Loopback multi-rank run; returns (gathered global field, rank fields).
 
     Every outer step exchanges halos of width h = ``cfg.levels_per_sweep``
     and runs one node sweep of ``cfg`` on each rank, so the gathered
     interior equals outer_steps * h naive sweeps of the undecomposed
-    problem, bit for bit.
+    problem, bit for bit.  A config the outer step cannot run raises
+    :class:`DecompositionError` before any rank starts.
     """
     h = cfg.levels_per_sweep
+    _check_config(cfg, h)
     px, py, pz = layout
     decomp = decompose(global_dims, px * py * pz, layout, h)
 
     def program(rank: int, endpoint: Endpoint) -> np.ndarray:
         grid = local_grid(decomp, rank, pattern)
         for step in range(outer_steps):
-            exchange_halos(grid, decomp, rank, endpoint, step, order)
+            exchange_halos(grid, decomp, rank, endpoint, step)
             outer_step(grid, decomp, rank, cfg)
         return grid.interior().copy()
 

@@ -259,17 +259,26 @@ _FACES = {
 }
 
 
-def _tangential_slices(dims: GridDims, axis: int, ext) -> list:
-    g = dims.ghost
+def _slab(grid: TwoGrid, face: str, depth: int, ext, ghost: bool) -> np.ndarray:
+    """View of the ``depth`` layers next to ``face``: the interior layers
+    inside it, or with ``ghost`` the ghost layers beyond it.  ``ext`` widens
+    the slab into the ghost shell per tangential axis, in array order."""
+    axis, high = _FACES[face]
+    g = grid.dims.ghost
+    if not 1 <= depth <= g:
+        raise GridError(f"depth {depth} exceeds ghost width {g}")
     sl = [None, None, None]
-    for d in range(3):
-        if d == axis:
-            continue
-        el, eh = (0, 0) if ext is None else ext[d]
+    for d, n in enumerate(grid.dims.shape):
+        el, eh = (0, 0) if ext is None or d == axis else ext[d]
         if el > g or eh > g:
             raise GridError("tangential extension exceeds ghost width")
-        sl[d] = slice(g - el, g + dims.shape[d] + eh)
-    return sl
+        sl[d] = slice(g - el, g + n + eh)
+    # The face plane sits at g (low) or g + n (high); the high interior
+    # layers and the low ghost layers lie below it.
+    at = g + grid.dims.shape[axis] if high else g
+    start = at - depth if high != ghost else at
+    sl[axis] = slice(start, start + depth)
+    return grid.current[tuple(sl)]
 
 
 def extract_layers(grid: TwoGrid, face: str, depth: int, ext=None) -> np.ndarray:
@@ -279,27 +288,13 @@ def extract_layers(grid: TwoGrid, face: str, depth: int, ext=None) -> np.ndarray
     axis, given as ((zlo, zhi), (ylo, yhi), (xlo, xhi)); the face axis entry
     is ignored.  Layout is row-major with x fastest.
     """
-    axis, high = _FACES[face]
-    g = grid.dims.ghost
-    n = grid.dims.shape[axis]
-    if not 1 <= depth <= g:
-        raise GridError(f"depth {depth} exceeds ghost width {g}")
-    sl = _tangential_slices(grid.dims, axis, ext)
-    sl[axis] = slice(g + n - depth, g + n) if high else slice(g, g + depth)
-    return np.ascontiguousarray(grid.current[tuple(sl)]).ravel()
+    return np.ascontiguousarray(_slab(grid, face, depth, ext, False)).ravel()
 
 
 def inject_layers(grid: TwoGrid, face: str, depth: int, buf: np.ndarray,
                   ext=None) -> None:
     """Unpack a buffer from :func:`extract_layers` into the ghost slab at ``face``."""
-    axis, high = _FACES[face]
-    g = grid.dims.ghost
-    n = grid.dims.shape[axis]
-    if not 1 <= depth <= g:
-        raise GridError(f"depth {depth} exceeds ghost width {g}")
-    sl = _tangential_slices(grid.dims, axis, ext)
-    sl[axis] = slice(g + n, g + n + depth) if high else slice(g - depth, g)
-    target = grid.current[tuple(sl)]
+    target = _slab(grid, face, depth, ext, True)
     if buf.size != target.size:
         raise GridError(f"buffer size {buf.size} != slab size {target.size}")
     target[...] = buf.reshape(target.shape)

@@ -52,6 +52,23 @@ class PipelineTimeout(PipelineError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One node pipeline: ``teams`` teams of ``team_size`` threads, each
+    thread applying ``updates_per_thread`` (T) levels per block, so a node
+    sweep applies U = teams * team_size * T levels.
+
+    ``min_dist`` (d_l) is the fewest blocks a thread stays behind its
+    predecessor and ``max_dist`` (d_u) the most it may run ahead of its
+    successor; ``team_delay`` (d_t) adds blocks to both across each boundary
+    between teams (:func:`effective_bounds`).  ``sync`` is ``"relaxed"``,
+    where each thread gates on its neighbors' counters through
+    :func:`may_proceed`, or ``"barrier"``, where all threads meet at one
+    barrier after each block step.  Barrier lockstep keeps each thread
+    exactly one block behind its predecessor, plus the team delay at a
+    team's front, so ``min_dist`` and ``max_dist`` act only under relaxed
+    sync.  ``block`` is (bx, by, bz), or None for the whole domain;
+    ``storage`` is ``"twogrid"`` or ``"compressed"``.
+    """
+
     teams: int = 1
     team_size: int = 1
     updates_per_thread: int = 2

@@ -1,13 +1,13 @@
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from stencilpipe import pipeline
-from stencilpipe.decomp import (Decomposition, DecompositionError,
-                                build_halo_plan, decompose, exchange_halos,
-                                level_domains_for_rank, local_grid, outer_step,
-                                run_distributed)
+from stencilpipe import decomp, pipeline
+from stencilpipe.decomp import (Decomposition, DecompositionError, decompose,
+                                exchange_halos, level_domains_for_rank,
+                                local_grid, outer_step, run_distributed)
 from stencilpipe.grid import FillPattern, GridDims
 from stencilpipe.pipeline import PipelineConfig
 from stencilpipe.transport import TransportError, spawn_world
@@ -62,13 +62,41 @@ def test_local_dims_carry_halo_ghosts():
     assert (ld.nx, ld.ny, ld.nz, ld.ghost) == (24, 32, 16, 4)
 
 
+def _sent_headers(d):
+    """Every (sender, peer, header) of one exchange round over ``d``."""
+    sent = []
+
+    class RecordingEndpoint:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def send(self, peer, header, payload):
+            sent.append((self._inner.rank, peer, header))
+            self._inner.send(peer, header, payload)
+
+        def recv(self, peer, expect):
+            return self._inner.recv(peer, expect)
+
+    def program(rank, ep):
+        g = local_grid(d, rank, FillPattern.constant(0.0))
+        exchange_halos(g, d, rank, RecordingEndpoint(ep), sweep=0)
+
+    spawn_world(d.n_ranks, program)
+    return sent
+
+
 def test_halo_plan_geometry():
-    plan = build_halo_plan(3)
-    assert [p.name for p in plan] == ["x", "y", "z"]
-    by_name = {p.name: p for p in plan}
-    assert by_name["x"].ext == ((0, 0), (0, 0), (0, 0))
-    assert by_name["y"].ext == ((0, 0), (0, 0), (3, 3))
-    assert by_name["z"].ext == ((0, 0), (3, 3), (3, 3))
+    # 6x5x7 cells per rank, h=2: the x slab is 2*5*7 cells, the y slab
+    # spans the x ghosts (2*(6+4)*7) and the z slab the x and y ghosts
+    # (2*(5+4)*(6+4)), 8 bytes a cell.
+    d = decompose(GridDims(12, 10, 14), 8, (2, 2, 2), halo=2)
+    sent = _sent_headers(d)
+    assert len(sent) == 24
+    for phase, nbytes in enumerate((560, 1120, 1440)):
+        headers = [hd for _, _, hd in sent if hd.phase == phase]
+        assert len(headers) == 8
+        assert {hd.payload_len for hd in headers} == {nbytes}, phase
+        assert {hd.depth for hd in headers} == {2}
 
 
 def test_local_grid_matches_global_pattern():
@@ -88,6 +116,11 @@ def test_exchange_fills_ghosts_including_corners():
 
     def program(rank, ep):
         g = local_grid(d, rank, pat)
+        # local_grid fills the ghosts from the global pattern too: poison
+        # them, so only the exchange can deliver the values checked below.
+        interior = g.interior().copy()
+        g.current[...] = np.nan
+        g.interior()[...] = interior
         exchange_halos(g, d, rank, ep, sweep=0)
         return g.full_view().copy()
 
@@ -124,26 +157,8 @@ def test_single_rank_needs_no_messages():
 
 
 def test_message_count_per_round():
-    gd = GridDims(12, 12, 12)
-    d = decompose(gd, 4, (2, 2, 1), halo=2)
-    sent = []
-
-    class CountingEndpoint:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def send(self, peer, header, payload):
-            sent.append((self._inner.rank, peer))
-            self._inner.send(peer, header, payload)
-
-        def recv(self, peer, expect):
-            return self._inner.recv(peer, expect)
-
-    def program(rank, ep):
-        g = local_grid(d, rank, FillPattern.constant(0.0))
-        exchange_halos(g, d, rank, CountingEndpoint(ep), sweep=0)
-
-    spawn_world(4, program)
+    d = decompose(GridDims(12, 12, 12), 4, (2, 2, 1), halo=2)
+    sent = [(rank, peer) for rank, peer, _ in _sent_headers(d)]
     # 2x2x1: every rank has exactly one x and one y neighbor -> 2 sends each
     assert len(sent) == 8
     assert len(set(sent)) == 8
@@ -207,26 +222,52 @@ def test_distributed_hotplate_boundaries_survive():
     assert compare(oracle(gd, pat, 8).interior(), gathered).bitwise
 
 
-def test_shuffled_phase_order_breaks_corners():
+def test_shuffled_phase_order_breaks_corners(monkeypatch):
     gd = GridDims(16, 16, 16)
     pat = FillPattern.random(47)
     cfg = PipelineConfig(updates_per_thread=2)
-    good, _ = run_distributed(gd, pat, (2, 2, 1), cfg, outer_steps=2,
-                              order=("x", "y", "z"))
-    bad, _ = run_distributed(gd, pat, (2, 2, 1), cfg, outer_steps=2,
-                             order=("y", "x", "z"))
     ref = oracle(gd, pat, 4).interior()
+    good, _ = run_distributed(gd, pat, (2, 2, 1), cfg, outer_steps=2)
     assert compare(ref, good).bitwise
+    monkeypatch.setattr(decomp, "_ORDER", ("y", "x", "z"))
+    bad, _ = run_distributed(gd, pat, (2, 2, 1), cfg, outer_steps=2)
     assert not compare(ref, bad).passed
 
 
-def test_distributed_rejects_compressed_config():
+def test_distributed_rejects_compressed_config(monkeypatch):
+    def no_world(*args):
+        raise AssertionError("ranks started for a config that cannot run")
+
+    monkeypatch.setattr(decomp, "spawn_world", no_world)
     gd = GridDims(16, 16, 16)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
                          storage="compressed")
-    with pytest.raises(Exception):
+    with pytest.raises(DecompositionError, match="two-grid storage"):
         run_distributed(gd, FillPattern.constant(0.0), (2, 1, 1), cfg,
                         outer_steps=1)
+
+
+def test_mis_sized_halo_names_the_receiver(monkeypatch, run_bounded):
+    # Rank 1's x slab loses one value.  Rank 0 expects the size of the
+    # slab it sent to rank 1 and rejects the header.  Rank 1 rejects rank
+    # 0's full-sized slab as well, and the lower rank is reported; the
+    # pause lets rank 0 wait in recv first, so rank 1's abort cannot stop
+    # rank 0 before it reads the short slab.
+    extract = decomp.extract_layers
+
+    def short(grid, face, depth, ext=None):
+        buf = extract(grid, face, depth, ext)
+        if threading.current_thread().name == "rank-1":
+            time.sleep(0.05)
+            return buf[:-1]
+        return buf
+
+    monkeypatch.setattr(decomp, "extract_layers", short)
+    err = run_bounded(lambda: run_distributed(
+        GridDims(16, 8, 8), FillPattern.random(5), (2, 1, 1),
+        PipelineConfig(updates_per_thread=2), outer_steps=1))
+    assert isinstance(err, TransportError)
+    assert str(err).startswith("rank 0: header mismatch from 1:"), str(err)
 
 
 def test_pipeline_failure_in_a_rank_names_rank_and_thread(monkeypatch,
