@@ -10,9 +10,13 @@ update or relaxed spin-gating on per-thread progress counters:
 
 with the team delay added to d_l on a team's front thread and to d_u on
 its rear thread; the overall front and rear threads skip the first and
-second condition respectively.  Counter increments happen after the
-block's writes (release on increment under the interpreter lock), so an
-observed counter value implies the corresponding data is visible.
+second condition respectively.
+
+Visibility: the block update drops the interpreter lock while the compiled
+kernel runs (:mod:`.kernel`), so two threads' updates overlap in time.  The
+worker takes the lock back before ``counters[i] += 1``, and a reader holds
+the lock when it reads a counter, so the lock's mutex orders the block's
+writes before any thread that sees the new count.
 
 ``_Runner`` is the one executor of a schedule: it turns a time level into
 storage through ``_apply_levels`` and ends a sweep through ``_end_sweep``.

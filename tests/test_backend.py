@@ -1,0 +1,74 @@
+"""Loading the compiled region kernel: it loads wherever ``gcc`` runs, and
+every way of failing to build or load it leaves the numpy body in place."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from stencilpipe import kernel
+
+SRC = Path(kernel.__file__).resolve().parents[1]
+PROBE = "import stencilpipe.kernel as k; print(k.BACKEND)"
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="no gcc on PATH")
+
+
+def _importer(cache, **env):
+    """A fresh interpreter that imports the kernel with ``cache`` as
+    ``XDG_CACHE_HOME`` and prints the backend it got."""
+    return subprocess.Popen(
+        [sys.executable, "-c", PROBE], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache),
+                 **env))
+
+
+def _backends_of(*procs) -> list[str]:
+    try:
+        outs = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert all(p.returncode == 0 for p in procs), [err for _, err in outs]
+    return [out.strip() for out, _ in outs]
+
+
+def test_gcc_on_path_means_the_c_backend():
+    # Every other test passes on numpy too, so without this a broken build
+    # would go unnoticed.
+    assert shutil.which("gcc") is None or kernel.BACKEND == "c"
+
+
+def test_missing_compiler_falls_back_to_numpy(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    assert _backends_of(_importer(tmp_path, PATH=str(empty))) == ["numpy"]
+    assert list((tmp_path / "stencilpipe").iterdir()) == []
+
+
+@needs_gcc
+@pytest.mark.parametrize("cache", ["not-a-directory", "world-writable"])
+def test_unusable_cache_builds_in_a_private_directory(tmp_path, cache):
+    root = tmp_path / "cache"
+    if cache == "not-a-directory":
+        root.write_text("")
+    else:
+        (root / "stencilpipe").mkdir(parents=True)
+        (root / "stencilpipe").chmod(0o777)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    assert _backends_of(_importer(root, TMPDIR=str(tmp))) == ["c"]
+    if cache == "world-writable":
+        assert list((root / "stencilpipe").iterdir()) == []
+    assert list(tmp.iterdir()) == []   # the private directory is gone
+
+
+@needs_gcc
+def test_concurrent_first_loads_leave_one_library(tmp_path):
+    assert _backends_of(_importer(tmp_path), _importer(tmp_path)) == ["c", "c"]
+    files = [p.name for p in (tmp_path / "stencilpipe").iterdir()]
+    assert len(files) == 1 and files[0].endswith(".so"), files

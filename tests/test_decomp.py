@@ -182,44 +182,52 @@ def test_outer_step_requires_matching_halo():
         outer_step(g, d, 0, PipelineConfig(updates_per_thread=2))  # U=2
 
 
-def test_distributed_serial_matches_oracle():
+def test_distributed_serial_matches_oracle(backends):
     gd = GridDims(16, 16, 16)
     pat = FillPattern.random(37)
-    gathered, _ = run_distributed(gd, pat, (2, 2, 1),
-                                  PipelineConfig(updates_per_thread=2),
-                                  outer_steps=3)
-    assert compare(oracle(gd, pat, 6).interior(), gathered).bitwise
+    ref = oracle(gd, pat, 6).interior()
+    for backend in backends:
+        gathered, _ = run_distributed(gd, pat, (2, 2, 1),
+                                      PipelineConfig(updates_per_thread=2),
+                                      outer_steps=3)
+        assert compare(ref, gathered).bitwise, backend
 
 
-def test_distributed_serial_thin_unsplit_axis():
+def test_distributed_serial_thin_unsplit_axis(backends):
     # h = 3 exceeds the 2-cell z extent, which is never split: one block
     # per axis still tiles every level, serial or pipelined.
     gd = GridDims(16, 16, 2)
     pat = FillPattern.random(3)
     ref = oracle(gd, pat, 3).interior()
-    for cfg in (PipelineConfig(updates_per_thread=3),
-                PipelineConfig(team_size=3, updates_per_thread=1)):
-        gathered, _ = run_distributed(gd, pat, (2, 1, 1), cfg, outer_steps=1)
-        assert compare(ref, gathered).bitwise, cfg
+    for backend in backends:
+        for cfg in (PipelineConfig(updates_per_thread=3),
+                    PipelineConfig(team_size=3, updates_per_thread=1)):
+            gathered, _ = run_distributed(gd, pat, (2, 1, 1), cfg,
+                                          outer_steps=1)
+            assert compare(ref, gathered).bitwise, (backend, cfg)
 
 
-def test_distributed_pipelined_matches_oracle():
+def test_distributed_pipelined_matches_oracle(backends):
     gd = GridDims(24, 24, 24)
     pat = FillPattern.random(43)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
                          block=(24, 8, 8))
-    gathered, _ = run_distributed(gd, pat, (2, 1, 2), cfg, outer_steps=2)
-    assert compare(oracle(gd, pat, 8).interior(), gathered).bitwise
+    ref = oracle(gd, pat, 8).interior()
+    for backend in backends:
+        gathered, _ = run_distributed(gd, pat, (2, 1, 2), cfg, outer_steps=2)
+        assert compare(ref, gathered).bitwise, backend
 
 
-def test_distributed_hotplate_boundaries_survive():
+def test_distributed_hotplate_boundaries_survive(backends):
     # physical Dirichlet walls must stay pinned on ranks without neighbors
     gd = GridDims(16, 16, 16)
     pat = FillPattern.hotplate()
-    gathered, _ = run_distributed(gd, pat, (2, 1, 1),
-                                  PipelineConfig(updates_per_thread=4),
-                                  outer_steps=2)
-    assert compare(oracle(gd, pat, 8).interior(), gathered).bitwise
+    ref = oracle(gd, pat, 8).interior()
+    for backend in backends:
+        gathered, _ = run_distributed(gd, pat, (2, 1, 1),
+                                      PipelineConfig(updates_per_thread=4),
+                                      outer_steps=2)
+        assert compare(ref, gathered).bitwise, backend
 
 
 def test_shuffled_phase_order_breaks_corners(monkeypatch):
@@ -292,3 +300,24 @@ def test_pipeline_failure_in_a_rank_names_rank_and_thread(monkeypatch,
     assert str(err).startswith("rank 1 failed: PipelineError(")
     assert "pipe 1 failed: FloatingPointError" in str(err)
     assert err.__cause__.__cause__ is boom
+
+
+def test_rank_raising_between_halo_phases_names_the_rank(monkeypatch,
+                                                         run_bounded):
+    # Rank 1 fails while unpacking its y halo, after its x phase is done;
+    # the ranks waiting on it are torn down and not reported.
+    boom = FloatingPointError("boom in rank 1's y phase")
+    inject = decomp.inject_layers
+
+    def failing(grid, face, depth, buf, ext=None):
+        if threading.current_thread().name == "rank-1" and face[1] == "y":
+            raise boom
+        inject(grid, face, depth, buf, ext)
+
+    monkeypatch.setattr(decomp, "inject_layers", failing)
+    err = run_bounded(lambda: run_distributed(
+        GridDims(16, 16, 8), FillPattern.random(73), (2, 2, 1),
+        PipelineConfig(updates_per_thread=2), outer_steps=2))
+    assert isinstance(err, TransportError)
+    assert str(err).startswith("rank 1 failed:"), str(err)
+    assert err.__cause__ is boom

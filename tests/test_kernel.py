@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
-from stencilpipe.kernel import (stencil_region, sweep_naive,
-                                sweep_spatial_blocked, update_region)
+from stencilpipe.kernel import (sweep_naive, sweep_spatial_blocked,
+                                update_region)
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig, ScheduleError,
                                   _apply_levels, run_node_sweeps)
 from stencilpipe.verify import check_maximum_principle, compare, oracle
 
 
 def _point(xm, xp, ym, yp, zm, zp) -> float:
-    """stencil_region at the center of a 3x3x3 array of the six neighbors."""
+    """update_region at the center of a 3x3x3 array of the six neighbors."""
     a = np.full((3, 3, 3), np.nan)
     a[1, 1, 0], a[1, 1, 2] = xm, xp
     a[1, 0, 1], a[1, 2, 1] = ym, yp
     a[0, 1, 1], a[2, 1, 1] = zm, zp
-    return stencil_region(a, (slice(1, 2),) * 3)[0, 0, 0]
+    out = np.zeros((3, 3, 3))
+    update_region(a, out, 1, (0, 0, 0), (1, 1, 1))
+    return out[1, 1, 1]
 
 
 def test_point_update_examples():
@@ -175,28 +177,30 @@ def _compressed_levels(draw):
     return shape, lo, hi, slack, s, r
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_compressed_levels(), seed=st.integers(0, 10_000))
 @example(case=((4, 5, 6), (0, 0, 0), (4, 5, 6), 1, -1, 1), seed=1)
 @example(case=((4, 5, 6), (0, 0, 0), (4, 5, 6), 2, 1, 0), seed=2)
-def test_compressed_level_matches_twogrid_update(case, seed):
+def test_compressed_level_matches_twogrid_update(case, seed, backends):
     # One compressed level over [lo, hi) through _apply_levels, with the
-    # ghost ring at the read offset wiped, equals the two-grid update of
-    # the same box from the same field.
+    # ghost ring at the read offset wiped, equals the naive two-grid update
+    # of the same box from the same field.
     shape, lo, hi, slack, s, r = case
     dims = GridDims(*shape[::-1])
     pat = FillPattern.random(seed)
-    ref = allocate(dims, "twogrid", pat)
-    update_region(ref.current, ref.other, 1, lo, hi)
-    g = allocate(dims, "compressed", pat, slack=slack)
-    field = g.interior().copy()
-    g.data[...] = np.nan
-    g.shift_origin(r - g.offset)
-    g.interior()[...] = field
-    _apply_levels(g, BlockSchedule([(lo, hi)], None, s), (0, 0, 0), [1])
+    ref = oracle(dims, pat, 1)
     box = tuple(slice(l + 1, h + 1) for l, h in zip(lo, hi))
     w = r + s
-    assert g.data[w:, w:, w:][box].tobytes() == ref.other[box].tobytes()
+    for backend in backends:
+        g = allocate(dims, "compressed", pat, slack=slack)
+        field = g.interior().copy()
+        g.data[...] = np.nan
+        g.shift_origin(r - g.offset)
+        g.interior()[...] = field
+        _apply_levels(g, BlockSchedule([(lo, hi)], None, s), (0, 0, 0), [1])
+        assert (g.data[w:, w:, w:][box].tobytes()
+                == ref.current[box].tobytes()), backend
 
 
 @settings(max_examples=30, deadline=None)
@@ -208,10 +212,63 @@ def test_maximum_principle_random(seed):
     assert check_maximum_principle(before, g.interior())
 
 
-def test_summation_order_is_pairwise():
+def test_summation_order_is_pairwise(backends):
     # The fixed order ((x-)+(x+)) + ((y-)+(y+)) + ((z-)+(z+)) differs in the
     # last bit from a left-to-right sum for some inputs; pin the former.
-    vals = (0.1, 0.7, 1e-17, 0.3, 0.9, 1.1)
-    expected = (((vals[0] + vals[1]) + (vals[2] + vals[3]))
-                + (vals[4] + vals[5])) * (1.0 / 6.0)
-    assert _point(*vals) == expected
+    # Together the last two inputs tell this order apart from every other
+    # grouping and ordering of the six terms.
+    for vals in ((0.1, 0.7, 1e-17, 0.3, 0.9, 1.1),
+                 (0.7, 1.6, 0.4, 1.5, 0.2, 1.6),
+                 (1.2, 0.6, 1.7, 0.1, 1.9, 0.9)):
+        expected = (((vals[0] + vals[1]) + (vals[2] + vals[3]))
+                    + (vals[4] + vals[5])) * (1.0 / 6.0)
+        for backend in backends:
+            assert _point(*vals) == expected, (backend, vals)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((-1, 0, 0), (4, 4, 4)),      # low z neighbours before the array
+    ((0, 0, 0), (4, 4, 5)),       # high x neighbours past the row
+    ((0, 0, 0), (5, 4, 4)),       # high z neighbours past the array
+    ((0, -1, 2), (1, 1, 3)),
+    ((0, 0, 9), (1, 1, 11)),      # wholly outside
+])
+def test_out_of_range_box_raises_before_any_write(lo, hi, backends):
+    g = allocate(GridDims(4, 4, 4), "twogrid", FillPattern.random(5))
+    before = (g.a.tobytes(), g.b.tobytes())
+    for backend in backends:
+        with pytest.raises(GridError):
+            update_region(g.current, g.other, 1, lo, hi)
+        assert (g.a.tobytes(), g.b.tobytes()) == before, backend
+
+
+def _refused_views(case):
+    """A (src, dst) pair that the region update must refuse."""
+    src = np.random.default_rng(3).random((6, 6, 6))
+    return {
+        "x-strides-differ": (src, np.zeros((6, 6, 12))[:, :, ::2]),
+        "y-strides-differ": (src, np.zeros((6, 7, 6))[:, :6, :]),
+        "reversed-x": (src[:, :, ::-1], np.zeros((6, 6, 6))[:, :, ::-1]),
+        "float32": (src.astype(np.float32), np.zeros((6, 6, 6), np.float32)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["x-strides-differ", "y-strides-differ",
+                                  "reversed-x", "float32"])
+def test_mismatched_views_raise_before_any_write(case, backends):
+    src, dst = _refused_views(case)
+    before = (src.tobytes(), dst.tobytes())
+    for backend in backends:
+        with pytest.raises(GridError):
+            update_region(src, dst, 1, (0, 0, 0), (4, 4, 4))
+        assert (src.tobytes(), dst.tobytes()) == before, backend
+
+
+def test_empty_box_is_a_no_op(backends):
+    g = allocate(GridDims(4, 4, 4), "twogrid", FillPattern.random(9))
+    before = g.other.tobytes()
+    for backend in backends:
+        for lo, hi in (((0, 0, 0), (0, 4, 4)), ((2, 2, 2), (2, 1, 4)),
+                       ((9, 9, 9), (9, 9, 9))):
+            update_region(g.current, g.other, 1, lo, hi)
+        assert g.other.tobytes() == before, backend

@@ -137,16 +137,19 @@ def test_schedule_shifts_and_clamps():
 
 @pytest.mark.parametrize("storage", ["twogrid", "compressed"])
 @pytest.mark.parametrize("sync", ["barrier", "relaxed"])
-def test_one_block_pipeline_deeper_than_grid_matches_oracle(sync, storage):
+def test_one_block_pipeline_deeper_than_grid_matches_oracle(sync, storage,
+                                                            backends):
     # U = 5 levels exceed every 4-cell extent; one block per axis still
     # tiles every level, so the run is valid and exact.
     d = GridDims(4, 4, 4)
     pat = FillPattern.random(59)
     cfg = PipelineConfig(teams=1, team_size=5, updates_per_thread=1,
                          sync=sync, storage=storage)
-    g = allocate(d, storage, pat, slack=cfg.levels_per_sweep)
-    run_node_sweeps(g, cfg, 2)
-    assert compare(oracle(d, pat, 10), g).bitwise
+    ref = oracle(d, pat, 10)
+    for backend in backends:
+        g = allocate(d, storage, pat, slack=cfg.levels_per_sweep)
+        run_node_sweeps(g, cfg, 2)
+        assert compare(ref, g).bitwise, backend
 
 
 def test_schedule_rejects_thin_blocks():
@@ -166,23 +169,27 @@ def test_reverse_order_for_forward_shift():
     assert rev.order == list(reversed(fwd.order))
 
 
-def test_single_thread_pipeline_matches_oracle():
+def test_single_thread_pipeline_matches_oracle(backends):
     d = GridDims(10, 10, 10)
     pat = FillPattern.random(21)
     cfg = PipelineConfig(teams=1, team_size=1, updates_per_thread=1)
-    g = allocate(d, "twogrid", pat)
-    run_node_sweeps(g, cfg, 5)
-    assert compare(oracle(d, pat, 5), g).bitwise
+    ref = oracle(d, pat, 5)
+    for backend in backends:
+        g = allocate(d, "twogrid", pat)
+        run_node_sweeps(g, cfg, 5)
+        assert compare(ref, g).bitwise, backend
 
 
-def test_team_pipeline_matches_oracle():
+def test_team_pipeline_matches_oracle(backends):
     d = GridDims(24, 24, 24)
     pat = FillPattern.random(11)
     cfg = PipelineConfig(teams=2, team_size=4, updates_per_thread=2,
                          block=(24, 16, 16))
-    g = allocate(d, "twogrid", pat)
-    run_node_sweeps(g, cfg, 1)
-    assert compare(oracle(d, pat, 16), g).bitwise
+    ref = oracle(d, pat, 16)
+    for backend in backends:
+        g = allocate(d, "twogrid", pat)
+        run_node_sweeps(g, cfg, 1)
+        assert compare(ref, g).bitwise, backend
 
 
 def test_barrier_and_relaxed_agree():
@@ -197,14 +204,16 @@ def test_barrier_and_relaxed_agree():
     assert compare(a, b).bitwise
 
 
-def test_compressed_pipeline_matches_oracle():
+def test_compressed_pipeline_matches_oracle(backends):
     d = GridDims(16, 16, 16)
     pat = FillPattern.random(41)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
                          block=(16, 8, 8), storage="compressed")
-    g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
-    run_node_sweeps(g, cfg, 3)  # odd sweep count exercises both directions
-    assert compare(oracle(d, pat, 12), g).bitwise
+    ref = oracle(d, pat, 12)
+    for backend in backends:
+        g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
+        run_node_sweeps(g, cfg, 3)  # odd sweep count runs both directions
+        assert compare(ref, g).bitwise, backend
 
 
 def test_compressed_ghost_refresh_needs_no_pattern(monkeypatch):
@@ -288,19 +297,20 @@ def test_storage_mismatch_rejected():
         run_node_sweeps(g, cfg, 1)
 
 
-def test_compressed_rerun_at_slack_u_matches_oracle():
+def test_compressed_rerun_at_slack_u_matches_oracle(backends):
     # A sweep moves the origin down while it has U layers of room below,
     # else up, so slack U serves any sequence of calls.
     d = GridDims(12, 12, 12)
     pat = FillPattern.random(53)
     ref = oracle(d, pat, 32)
-    for sync in ("barrier", "relaxed"):
-        cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
-                             sync=sync, storage="compressed")
-        g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
-        for sweeps in (2, 1, 2, 1, 2):
-            run_node_sweeps(g, cfg, sweeps)
-        assert compare(ref, g).bitwise, sync
+    for backend in backends:
+        for sync in ("barrier", "relaxed"):
+            cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=2,
+                                 sync=sync, storage="compressed")
+            g = allocate(d, "compressed", pat, slack=cfg.levels_per_sweep)
+            for sweeps in (2, 1, 2, 1, 2):
+                run_node_sweeps(g, cfg, sweeps)
+            assert compare(ref, g).bitwise, (backend, sync)
 
 
 def test_compressed_needs_slack():
