@@ -8,9 +8,17 @@ fast-math) and cached as ``stencilpipe/region-<hash>.so`` under
 ``$XDG_CACHE_HOME``, or ``~/.cache`` when that is unset; the hash covers the
 source and the flags.  When the cache directory cannot be used safely the
 library is built in a private temporary directory for this process only.
-Any failure to build or load leaves the numpy backend in place.  ``ctypes``
-releases the interpreter lock for the call, so pipeline threads overlap
-their block updates.
+Any failure to build or load, a missing symbol included, leaves the numpy
+backend in place.  ``ctypes`` releases the interpreter lock for each call.
+
+The library exports two functions around one ``static`` region body,
+``region``, which holds the only C stencil loop.  ``update_region`` calls
+it once.  ``sweep_thread`` runs one pipeline thread's whole node sweep: it
+walks the thread's blocks in the schedule's order, gates each on the
+neighbours' counters (or the barrier's step counts), restores a compressed
+level's ghost faces, calls ``region`` for each of the thread's levels and
+publishes its count; see :mod:`.pipeline` for the rules and :class:`Sweep`
+for its arguments.
 
 A compressed level passes two overlapping views of one array.  The C loop
 follows the ``memmove`` rule: it runs forward when ``dst <= src`` and in
@@ -41,12 +49,14 @@ from .grid import GridError, TwoGrid
 ONE_SIXTH = 1.0 / 6.0
 
 _SOURCE = r"""
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 /* dst = stencil(src) over nz*ny*nx cells, the first at element off of both
    views, whose z and y strides are sz and sy elements. */
-void update_region(const double *src, double *dst, ptrdiff_t off,
+static void region(const double *src, double *dst, ptrdiff_t off,
                    ptrdiff_t nz, ptrdiff_t ny, ptrdiff_t nx,
                    ptrdiff_t sz, ptrdiff_t sy)
 {
@@ -72,6 +82,184 @@ void update_region(const double *src, double *dst, ptrdiff_t off,
                             + (c[x - sz] + c[x + sz])) * sixth;
             }
     }
+}
+
+void update_region(const double *src, double *dst, ptrdiff_t off,
+                   ptrdiff_t nz, ptrdiff_t ny, ptrdiff_t nx,
+                   ptrdiff_t sz, ptrdiff_t sy)
+{
+    region(src, dst, off, nz, ny, nx, sz, sy);
+}
+
+/* One node sweep, shared by its threads; kernel.Sweep mirrors it. */
+struct sweep {
+    int64_t n_threads, n_blocks, barrier, T, ghost, sz, sy;
+    int64_t n[3];                /* interior extents (z, y, x) */
+    const int64_t *order;        /* n_blocks rows of base block (iz, iy, ix) */
+    const int64_t *cuts;         /* every (level, axis) chain of cuts */
+    const int64_t *chain;        /* (level, axis) -> its first cut in cuts */
+    double *const *src;          /* per level: base of the read view */
+    double *const *dst;          /* per level: base of the write view */
+    const double *const *faces;  /* z low, z high, y low, ..., or NULL */
+    const int64_t *d_l, *d_u;    /* per thread, from effective_bounds */
+    const int64_t *first_step;   /* per thread: barrier step of block 0 */
+    int64_t *counters;           /* per thread: blocks done */
+    int64_t *steps;              /* per thread: barrier steps done */
+    const int32_t *abort;
+    int64_t spin_budget;
+    double timeout;              /* seconds */
+};
+
+enum { SWEEP_DONE, SWEEP_ABORTED, SWEEP_TIMEOUT };
+
+static int64_t acquire(const int64_t *p)
+{
+    return __atomic_load_n(p, __ATOMIC_ACQUIRE);
+}
+
+static void release(int64_t *p, int64_t v)
+{
+    __atomic_store_n(p, v, __ATOMIC_RELEASE);
+}
+
+static double seconds(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+/* CompressedGrid.restore_ghosts on the view at base: the Dirichlet face
+   layers next to the logical box [lo, hi) on every domain edge it touches.
+   A face array has the box's shape, one layer thick along its axis d, so
+   its d stride is taken as 0. */
+static void restore_ghosts(const struct sweep *s, double *base,
+                           const int64_t *lo, const int64_t *hi)
+{
+    for (int d = 0; d < 3; d++)
+        for (int side = 0; side < 2; side++) {
+            if (side ? hi[d] != s->n[d] : lo[d] != 0)
+                continue;
+            const double *f = s->faces[2 * d + side];
+            ptrdiff_t a[3], e[3], fs[3];
+            for (int k = 0; k < 3; k++) {
+                a[k] = lo[k] + 1;
+                e[k] = hi[k] + 1;
+            }
+            a[d] = side ? s->n[d] + 1 : 0;
+            e[d] = a[d] + 1;
+            fs[2] = 1;
+            fs[1] = d == 2 ? 1 : s->n[2] + 2;
+            fs[0] = fs[1] * (d == 1 ? 1 : s->n[1] + 2);
+            fs[d] = 0;
+            for (ptrdiff_t z = a[0]; z < e[0]; z++)
+                for (ptrdiff_t y = a[1]; y < e[1]; y++)
+                    for (ptrdiff_t x = a[2]; x < e[2]; x++)
+                        base[z * s->sz + y * s->sy + x] =
+                            f[z * fs[0] + y * fs[1] + x * fs[2]];
+        }
+}
+
+/* Thread i's levels i*T+1 .. (i+1)*T on base block blk. */
+static void apply_levels(const struct sweep *s, int64_t i, const int64_t *blk)
+{
+    const ptrdiff_t g = s->ghost;
+    for (int64_t l = i * s->T; l < (i + 1) * s->T; l++) {
+        int64_t lo[3], hi[3];
+        for (int d = 0; d < 3; d++) {
+            const int64_t *c = s->cuts + s->chain[3 * l + d];
+            lo[d] = c[blk[d]];
+            hi[d] = c[blk[d] + 1];
+        }
+        if (s->faces)
+            restore_ghosts(s, s->src[l], lo, hi);
+        if (hi[0] > lo[0] && hi[1] > lo[1] && hi[2] > lo[2])
+            region(s->src[l], s->dst[l],
+                   (lo[0] + g) * s->sz + (lo[1] + g) * s->sy + lo[2] + g,
+                   hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2],
+                   s->sz, s->sy);
+    }
+}
+
+/* Whether thread i may start block b, its barrier step being step.  On
+   success snap holds (c_prev, c_self, c_next), -1 for a missing
+   neighbour.  Relaxed sync is pipeline.may_proceed with its end-of-sweep
+   saturation; barrier sync waits until every thread has finished step - 1. */
+static int gate(const struct sweep *s, int64_t i, int64_t b, int64_t step,
+                int64_t *snap)
+{
+    const int64_t last = s->n_threads - 1;
+    if (s->barrier) {
+        for (int64_t j = 0; j <= last; j++)
+            if (acquire(&s->steps[j]) < step)
+                return 0;
+        snap[0] = i > 0 ? acquire(&s->counters[i - 1]) : -1;
+        snap[2] = i < last ? acquire(&s->counters[i + 1]) : -1;
+    } else {
+        snap[0] = snap[2] = -1;
+        if (i > 0) {
+            snap[0] = acquire(&s->counters[i - 1]);
+            if (snap[0] < s->n_blocks && snap[0] - b < s->d_l[i])
+                return 0;
+        }
+        if (i < last) {
+            snap[2] = acquire(&s->counters[i + 1]);
+            if (b - snap[2] > s->d_u[i])
+                return 0;
+        }
+    }
+    snap[1] = b;
+    return 1;
+}
+
+/* Spin on the gate: spin_budget checks, then sched_yield before each
+   further one, until timeout seconds after the first refusal. */
+static int wait_gate(const struct sweep *s, int64_t i, int64_t b,
+                     int64_t step, int64_t *snap)
+{
+    int64_t spins = 0;
+    double deadline = 0.0;
+    while (!gate(s, i, b, step, snap)) {
+        if (__atomic_load_n(s->abort, __ATOMIC_RELAXED))
+            return SWEEP_ABORTED;
+        if (spins == 0)
+            deadline = seconds() + s->timeout;
+        if (++spins > s->spin_budget) {
+            sched_yield();
+            if (seconds() > deadline)
+                return SWEEP_TIMEOUT;
+        }
+    }
+    return SWEEP_DONE;
+}
+
+/* Thread i's whole sweep: every block in order, gated, its levels applied,
+   and its count published with a release store after the block's writes.
+   With record, row b gets the snapshot the gate passed on.  Returns a
+   SWEEP_* status; *where is the block a thread stopped at. */
+int64_t sweep_thread(const struct sweep *s, int64_t i, int64_t *record,
+                     int64_t *where)
+{
+    const int64_t first = s->first_step[i];
+    const int64_t end = s->first_step[s->n_threads - 1] + s->n_blocks;
+    if (s->barrier)
+        release(&s->steps[i], first);   /* its earlier steps are idle */
+    for (int64_t b = 0; b < s->n_blocks; b++) {
+        int64_t snap[3];
+        int status = wait_gate(s, i, b, first + b, snap);
+        if (status != SWEEP_DONE) {
+            *where = b;
+            return status;
+        }
+        if (record)
+            for (int k = 0; k < 3; k++)
+                record[3 * b + k] = snap[k];
+        apply_levels(s, i, s->order + 3 * b);
+        release(&s->counters[i], b + 1);
+        if (s->barrier)
+            release(&s->steps[i], b + 1 < s->n_blocks ? first + b + 1 : end);
+    }
+    return SWEEP_DONE;
 }
 """
 
@@ -114,9 +302,31 @@ def _compile(directory: str, name: str) -> str:
     return path
 
 
+class Sweep(ctypes.Structure):
+    """The C ``struct sweep``: one node sweep, shared by its threads.
+
+    Pointer fields hold addresses of arrays that the filler keeps alive for
+    the sweep; see ``pipeline._Runner``.
+    """
+
+    _fields_ = ([(f, ctypes.c_int64) for f in
+                 ("n_threads", "n_blocks", "barrier", "T", "ghost", "sz",
+                  "sy")]
+                + [("n", ctypes.c_int64 * 3)]
+                + [(f, ctypes.c_void_p) for f in
+                   ("order", "cuts", "chain", "src", "dst", "faces", "d_l",
+                    "d_u", "first_step", "counters", "steps", "abort")]
+                + [("spin_budget", ctypes.c_int64),
+                   ("timeout", ctypes.c_double)])
+
+
+# ``sweep_thread`` statuses; the C enum has the same order.
+SWEEP_DONE, SWEEP_ABORTED, SWEEP_TIMEOUT = range(3)
+
+
 def _load():
-    """The compiled region function, or None when it cannot be built or
-    loaded."""
+    """The compiled ``update_region`` and ``sweep_thread`` functions, or
+    (None, None) when the library cannot be built or loaded."""
     digest = hashlib.sha256("\0".join((_SOURCE, *_CFLAGS)).encode())
     name = f"region-{digest.hexdigest()[:24]}.so"
     try:
@@ -130,15 +340,18 @@ def _load():
             # The mapping outlives the file, so the directory can go.
             with tempfile.TemporaryDirectory(prefix="stencilpipe-") as tmp:
                 lib = ctypes.CDLL(_compile(tmp, name))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    fn = lib.update_region
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
-    fn.restype = None
-    return fn
+        update, sweep = lib.update_region, lib.sweep_thread
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None, None
+    update.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
+    update.restype = None
+    sweep.argtypes = [ctypes.POINTER(Sweep), ctypes.c_int64, ctypes.c_void_p,
+                      ctypes.POINTER(ctypes.c_int64)]
+    sweep.restype = ctypes.c_int64
+    return update, sweep
 
 
-_c_update = _load()
+_c_update, _c_sweep = _load()
 BACKEND = "numpy" if _c_update is None else "c"
 
 

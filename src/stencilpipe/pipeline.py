@@ -12,31 +12,59 @@ with the team delay added to d_l on a team's front thread and to d_u on
 its rear thread; the overall front and rear threads skip the first and
 second condition respectively.
 
-Visibility: the block update drops the interpreter lock while the compiled
-kernel runs (:mod:`.kernel`), so two threads' updates overlap in time.  The
-worker takes the lock back before ``counters[i] += 1``, and a reader holds
-the lock when it reads a counter, so the lock's mutex orders the block's
-writes before any thread that sees the new count.
+Each thread runs a sweep in one of two loops.  Under the ``c`` backend it
+is one call of the compiled ``sweep_thread`` (:mod:`.kernel`), which holds
+no interpreter lock: it gates, updates and counts every block of the
+thread's sweep in C, on an ``int64`` counter array.  Under ``numpy`` it is
+the Python loop of ``_run_sweep_relaxed`` and ``_run_sweep_barrier``.  The
+two apply the same levels to the same regions through the same
+:func:`_level_views`, so they give the same bits.
 
-``_Runner`` is the one executor of a schedule: it turns a time level into
-storage through ``_apply_levels`` and ends a sweep through ``_end_sweep``.
-With one thread, one team and T levels a node sweep is the serial
-temporally blocked update, so the spatially blocked sweep (T=1) and the
-serial distributed outer step (T=h) are one-thread runs of it.  Its
-threads run as a :func:`~stencilpipe.transport.run_group`: a thread that
-fails aborts the others and the run raises :class:`PipelineError` naming
-that thread.
+Visibility.  In the C loop a thread publishes its count with a release
+store after the block's writes, and a neighbour reads it with an acquire
+load, so every cell the block wrote is visible to a thread that sees the
+new count.  Barrier sync there is a spin barrier on per-thread step
+counts, published and read the same way: thread i starts step s once
+every thread has finished step s-1.  In the Python loop the interpreter
+lock orders them: the block update drops the lock only inside the region
+kernel, the worker holds it for ``counters[i] += 1``, and a reader holds
+it when it reads a counter, so the lock's mutex orders the block's writes
+before any thread that sees the new count.
+
+Spinning.  A refused thread checks its gate ``_SPIN_BUDGET`` times, then
+yields (``sched_yield`` in C, ``time.sleep(0)`` in Python) before each
+further check.  ``_SPIN_TIMEOUT`` seconds after its first refusal it gives
+up with :class:`PipelineTimeout` naming the thread and the block.  Every
+check first polls the run's abort flag, an ``int32`` that the C loop reads
+too, so a failure elsewhere frees spinning threads.
+
+``_Runner`` is the one executor of a schedule: :func:`_level_views` maps a
+time level to storage, ``_begin_sweep`` checks every level's domain
+against its views before any thread writes, and ``_end_sweep`` ends a
+sweep.  Between sweeps thread 0 ends one and begins the next between two
+barrier waits; the last sweep is ended by the caller after the join, so a
+one-sweep run waits at no barrier.  With one thread, one team and T levels
+a node sweep is the serial temporally blocked update, so the spatially
+blocked sweep (T=1) and the serial distributed outer step (T=h) are
+one-thread runs of it.  Its threads run as a
+:func:`~stencilpipe.transport.run_group`: a thread that fails aborts the
+others and the run raises :class:`PipelineError` naming that thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernel
 from .grid import CompressedGrid, GridDims, TwoGrid
-from .kernel import update_region
+from .kernel import _check_region, update_region
 from .transport import Aborted, run_group
 
 update_region_compressed = None  # never called; perfbench/tracer.py patches it
@@ -64,7 +92,7 @@ class PipelineConfig:
     predecessor and ``max_dist`` (d_u) the most it may run ahead of its
     successor; ``team_delay`` (d_t) adds blocks to both across each boundary
     between teams (:func:`effective_bounds`).  ``sync`` is ``"relaxed"``,
-    where each thread gates on its neighbors' counters through
+    where each thread gates on its neighbors' counters by the rule of
     :func:`may_proceed`, or ``"barrier"``, where all threads meet at one
     barrier after each block step.  Barrier lockstep keeps each thread
     exactly one block behind its predecessor, plus the team delay at a
@@ -109,6 +137,13 @@ def effective_bounds(cfg: PipelineConfig, i: int) -> tuple[int, int]:
     d_l = cfg.min_dist + (cfg.team_delay if pos == 0 else 0)
     d_u = cfg.max_dist + (cfg.team_delay if pos == cfg.team_size - 1 else 0)
     return d_l, d_u
+
+
+def _first_step(cfg: PipelineConfig, i: int) -> int:
+    """The barrier step at which global thread i updates its first block:
+    one step behind its predecessor, plus the team delay at a team's
+    front."""
+    return i + (i // cfg.team_size) * cfg.team_delay
 
 
 def may_proceed(counters, i: int, cfg: PipelineConfig,
@@ -178,6 +213,14 @@ class BlockSchedule:
         self.order = list(itertools.product(*(range(len(e) + 1) for e in interior)))
         if direction == 1:
             self.order.reverse()
+        # The same schedule as flat int64 arrays, for the compiled sweep:
+        # every chain's cuts end to end, where each (level, axis) chain
+        # starts in them, and the block order as rows of (iz, iy, ix).
+        chains = [c for level in self._cuts for c in level]
+        self.cut_array = array("q", itertools.chain.from_iterable(chains))
+        self.chain_starts = array("q", itertools.accumulate(
+            (len(c) for c in chains[:-1]), initial=0))
+        self.order_array = array("q", itertools.chain.from_iterable(self.order))
 
     @property
     def n_blocks(self) -> int:
@@ -188,6 +231,11 @@ class BlockSchedule:
         z, y, x = self._cuts[tau - 1]
         iz, iy, ix = blk
         return (z[iz], y[iy], x[ix]), (z[iz + 1], y[iy + 1], x[ix + 1])
+
+    def domain(self, tau: int):
+        """(lo, hi) of time level tau's domain, which its blocks partition."""
+        chains = self._cuts[tau - 1]
+        return tuple(c[0] for c in chains), tuple(c[-1] for c in chains)
 
 
 def build_schedule(dims: GridDims, cfg: PipelineConfig,
@@ -236,27 +284,33 @@ def trace_csv(events) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_levels(grid, sched: BlockSchedule, blk, levels) -> None:
-    """Apply ``levels`` of ``sched`` to base block ``blk`` of ``grid``.
+def _level_views(grid, direction: int, tau: int):
+    """(read offset, src view, dst view) of time level tau in ``grid``.
 
     The one place a time level becomes storage: two-grid level tau reads
     array (tau-1) % 2 of the pair current at sweep start and writes the
-    other; compressed level tau restores the ghost faces at read offset r
-    (the sweep-start origin moved tau-1 layers in direction s), then
-    updates the view of ``grid.data`` at r into the view at r + s.  The
+    other, and has no read offset (None); compressed level tau reads the
+    view of ``grid.data`` at offset r (the sweep-start origin moved tau-1
+    layers in ``direction``) and writes the view at r + direction.  The
     grid swaps or shifts only in :func:`_end_sweep`, after every level of
     the sweep is done, so the sweep-start state is the grid's state.
     """
-    g, s = grid.dims.ghost, sched.direction
+    if grid.storage == "twogrid":
+        pair = (grid.current, grid.other)
+        return None, pair[(tau - 1) % 2], pair[tau % 2]
+    r, s = grid.offset + direction * (tau - 1), direction
+    return r, grid.data[r:, r:, r:], grid.data[r + s:, r + s:, r + s:]
+
+
+def _apply_levels(grid, sched: BlockSchedule, blk, levels) -> None:
+    """Apply ``levels`` of ``sched`` to base block ``blk`` of ``grid``; a
+    compressed level restores the ghost faces at its read offset first."""
+    g = grid.dims.ghost
     for tau in levels:
         lo, hi = sched.region(blk, tau)
-        if grid.storage == "twogrid":
-            pair = (grid.current, grid.other)
-            src, dst = pair[(tau - 1) % 2], pair[tau % 2]
-        else:
-            r = grid.offset + s * (tau - 1)
+        r, src, dst = _level_views(grid, sched.direction, tau)
+        if r is not None:
             grid.restore_ghosts(lo, hi, r)
-            src, dst = grid.data[r:, r:, r:], grid.data[r + s:, r + s:, r + s:]
         update_region(src, dst, g, lo, hi)
 
 
@@ -270,9 +324,23 @@ def _end_sweep(grid, sched: BlockSchedule) -> None:
         grid.shift_origin(sched.direction * U)
 
 
+def _addresses(arrays) -> list[int]:
+    """Data addresses of a list of numpy arrays, each distinct one looked
+    up once."""
+    seen = {}
+    for a in arrays:
+        if id(a) not in seen:
+            seen[id(a)] = a.__array_interface__["data"][0]
+    return [seen[id(a)] for a in arrays]
+
+
 class _Runner:
     """The one schedule executor: runs ``sweeps`` node sweeps of ``cfg``,
-    on the calling thread when ``cfg`` has one thread, else on workers."""
+    on the calling thread when ``cfg`` has one thread, else on workers.
+
+    Each thread's sweep is one call of the compiled ``sweep_thread`` when
+    the C backend is loaded, else the Python block loop below.
+    """
 
     _SPIN_BUDGET = 64        # gate checks before a spinning thread yields
     _SPIN_TIMEOUT = 30.0     # seconds a refused thread may spin
@@ -283,11 +351,11 @@ class _Runner:
         self.cfg = cfg
         self.sweeps = sweeps
         self.trace = trace
-        self.counters = [0] * cfg.n_threads
+        n = cfg.n_threads
+        self.counters = (ctypes.c_int64 * n)()
         # One thread has nothing to wait for or to wake.
-        self.barrier = (threading.Barrier(cfg.n_threads)
-                        if cfg.n_threads > 1 else None)
-        self.aborted = False
+        self.barrier = threading.Barrier(n) if n > 1 else None
+        self.stop = ctypes.c_int32()      # abort flag, polled by spins
 
         if cfg.storage == "twogrid":
             if not isinstance(grid, TwoGrid):
@@ -309,15 +377,50 @@ class _Runner:
                 -1: build_schedule(grid.dims, cfg, None, -1),
                 1: build_schedule(grid.dims, cfg, None, 1),
             }
+        self._sweep_fn = kernel._c_sweep
+        if self._sweep_fn is not None:
+            self._init_c()
+
+    def _init_c(self) -> None:
+        """The compiled sweep's arguments that hold for the whole run."""
+        cfg, grid = self.cfg, self.grid
+        n = cfg.n_threads
+        # Per thread: barrier steps done, D_l, D_u, barrier step of block 0.
+        table = self._table = (ctypes.c_int64 * (4 * n))()
+        for i in range(n):
+            table[n + i], table[2 * n + i] = effective_bounds(cfg, i)
+            table[3 * n + i] = _first_step(cfg, i)
+        view = grid.current if grid.storage == "twogrid" else grid.data
+        a = self._args = kernel.Sweep(
+            n_threads=n, barrier=cfg.sync == "barrier",
+            T=cfg.updates_per_thread, ghost=grid.dims.ghost,
+            sz=view.strides[0] // 8, sy=view.strides[1] // 8,
+            n=(ctypes.c_int64 * 3)(*grid.dims.shape),
+            counters=ctypes.addressof(self.counters),
+            abort=ctypes.addressof(self.stop),
+            spin_budget=self._SPIN_BUDGET, timeout=self._SPIN_TIMEOUT)
+        a.steps, a.d_l, a.d_u, a.first_step = range(
+            ctypes.addressof(table), ctypes.addressof(table) + 32 * n, 8 * n)
+        if grid.storage == "compressed":
+            self._faces = [np.ascontiguousarray(f)
+                           for pair in grid.faces for f in pair]
+            self._face_table = (ctypes.c_void_p * 6)(*_addresses(self._faces))
+            a.faces = ctypes.addressof(self._face_table)
 
     # -- worker plumbing ---------------------------------------------------
 
     def run(self) -> None:
+        """Every sweep; the caller ends the last one after the join, so a
+        one-sweep run makes no barrier waits."""
+        if self.sweeps < 1:
+            return
+        self._begin_sweep()
         run_group(self.cfg.n_threads, self._worker, "pipe", self._abort,
                   PipelineError)
+        _end_sweep(self.grid, self.sched)
 
     def _abort(self) -> None:
-        self.aborted = True
+        self.stop.value = 1
         if self.barrier is not None:
             self.barrier.abort()
 
@@ -338,17 +441,46 @@ class _Runner:
             return self.schedules[1]
         return self.schedules[-1]
 
+    def _begin_sweep(self) -> None:
+        """Pick the next sweep's schedule and check, before any thread
+        writes, that every level's domain and its one-cell neighbourhood
+        fit both of the level's views.  The blocks of a level partition its
+        domain, so no block update can leave them."""
+        sched = self.sched = self._schedule()
+        g = self.grid.dims.ghost
+        views = [_level_views(self.grid, sched.direction, tau)[1:]
+                 for tau in range(1, sched.n_levels + 1)]
+        for tau, (src, dst) in enumerate(views, 1):
+            lo, hi = sched.domain(tau)
+            if all(h > l for l, h in zip(lo, hi)):
+                _check_region(src, dst, g, lo, hi)
+        ctypes.memset(self.counters, 0, ctypes.sizeof(self.counters))
+        if self._sweep_fn is None:
+            return
+        ctypes.memset(self._table, 0, 8 * self.cfg.n_threads)   # steps done
+        # Every level's source base, then every level's destination base.
+        U = sched.n_levels
+        self._views = (ctypes.c_void_p * (2 * U))(
+            *_addresses([v for side in zip(*views) for v in side]))
+        a = self._args
+        a.n_blocks = sched.n_blocks
+        a.order = sched.order_array.buffer_info()[0]
+        a.cuts = sched.cut_array.buffer_info()[0]
+        a.chain = sched.chain_starts.buffer_info()[0]
+        a.src = ctypes.addressof(self._views)
+        a.dst = a.src + 8 * U
+
     def _worker(self, i: int) -> None:
         for sweep in range(self.sweeps):
-            # Thread 0 moves the origin between the two barriers, so every
-            # thread reads the same offset here.
-            sched = self._schedule()
-            self._run_sweep(i, sweep, sched)
-            self._sync()
-            if i == 0:
-                _end_sweep(self.grid, sched)
-                self.counters[:] = [0] * len(self.counters)
-            self._sync()
+            if sweep:
+                # Thread 0 ends the last sweep and begins this one between
+                # the two barriers, so every thread runs the same schedule.
+                self._sync()
+                if i == 0:
+                    _end_sweep(self.grid, self.sched)
+                    self._begin_sweep()
+                self._sync()
+            self._run_sweep(i, sweep, self.sched)
 
     # -- per-sweep work ----------------------------------------------------
 
@@ -359,7 +491,7 @@ class _Runner:
     def _record(self, sweep: int, i: int, ordinal: int) -> None:
         if self.trace is None:
             return
-        c = self.counters
+        c = self.counters[:]
         self.trace.append(TraceEvent(
             sweep=sweep, thread=i, block=ordinal,
             c_prev=c[i - 1] if i > 0 else -1,
@@ -367,16 +499,35 @@ class _Runner:
             c_next=c[i + 1] if i < len(c) - 1 else -1))
 
     def _run_sweep(self, i: int, sweep: int, sched: BlockSchedule) -> None:
-        if self.cfg.sync == "barrier":
+        if self._sweep_fn is not None:
+            self._run_sweep_c(i, sweep, sched)
+        elif self.cfg.sync == "barrier":
             self._run_sweep_barrier(i, sweep, sched)
         else:
             self._run_sweep_relaxed(i, sweep, sched)
 
+    def _run_sweep_c(self, i: int, sweep: int, sched: BlockSchedule) -> None:
+        """Thread i's sweep as one compiled call, which holds no GIL."""
+        record = (None if self.trace is None
+                  else (ctypes.c_int64 * (3 * sched.n_blocks))())
+        where = ctypes.c_int64()
+        status = self._sweep_fn(ctypes.byref(self._args), i, record,
+                                ctypes.byref(where))
+        if status == kernel.SWEEP_ABORTED:
+            raise Aborted
+        if status == kernel.SWEEP_TIMEOUT:
+            raise PipelineTimeout(f"thread {i} stalled at block {where.value} "
+                                  f"(counters {self.counters[:]})")
+        if record is not None:
+            snaps = iter(record)
+            self.trace.extend(TraceEvent(sweep, i, b, *snap) for b, snap
+                              in enumerate(zip(snaps, snaps, snaps)))
+
     def _run_sweep_barrier(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         cfg = self.cfg
         levels = self._levels(i)
-        offset = i + (i // cfg.team_size) * cfg.team_delay
-        last = (cfg.n_threads - 1) + (cfg.teams - 1) * cfg.team_delay
+        offset = _first_step(cfg, i)
+        last = _first_step(cfg, cfg.n_threads - 1)
         for step in range(sched.n_blocks + last):
             b = step - offset
             if 0 <= b < sched.n_blocks:
@@ -391,7 +542,7 @@ class _Runner:
         for b in range(sched.n_blocks):
             spins = 0
             while not may_proceed(self.counters, i, cfg, sched.n_blocks):
-                if self.aborted:
+                if self.stop.value:
                     raise Aborted
                 if spins == 0:
                     deadline = time.monotonic() + self._SPIN_TIMEOUT
@@ -401,7 +552,7 @@ class _Runner:
                     if time.monotonic() > deadline:
                         raise PipelineTimeout(
                             f"thread {i} stalled at block {b} "
-                            f"(counters {list(self.counters)})")
+                            f"(counters {self.counters[:]})")
             self._record(sweep, i, b)
             _apply_levels(self.grid, sched, sched.order[b], levels)
             self.counters[i] += 1

@@ -33,28 +33,33 @@ def run_bounded():
 
 
 class _Backends:
-    """Iterating runs the loop body under each region-kernel backend in
-    turn and yields its name: ``"c"`` when the library loaded, then
-    ``"numpy"`` with the loaded function hidden.  Iterable again, so a
-    Hypothesis test covers both backends in every example."""
+    """Iterating runs the loop body under each backend in turn and yields
+    its name: ``"c"`` when the library loaded, then ``"numpy"`` with the
+    loaded region and sweep functions hidden, so pipelines run the Python
+    block loop.  Iterable again, so a Hypothesis test covers both backends
+    in every example."""
+
+    _NAMES = ("_c_update", "_c_sweep")
 
     def __init__(self, monkeypatch):
         self._patch = monkeypatch
-        self._loaded = kernel._c_update
+        self._loaded = [getattr(kernel, name) for name in self._NAMES]
 
     def __iter__(self):
-        if self._loaded is not None:
-            self._patch.setattr(kernel, "_c_update", self._loaded)
+        if None not in self._loaded:
+            for name, fn in zip(self._NAMES, self._loaded):
+                self._patch.setattr(kernel, name, fn)
             yield "c"
-        self._patch.setattr(kernel, "_c_update", None)
+        for name in self._NAMES:
+            self._patch.setattr(kernel, name, None)
         yield "numpy"
 
 
 @pytest.fixture
 def backends(monkeypatch):
-    """Both region-kernel backends, for ``for backend in backends:``.
+    """Both backends, for ``for backend in backends:``.
 
     The test body loops instead of being parametrized, so each test keeps
-    one name; ``monkeypatch`` restores the loaded function at teardown.
+    one name; ``monkeypatch`` restores the loaded functions at teardown.
     """
     return _Backends(monkeypatch)

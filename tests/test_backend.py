@@ -1,5 +1,6 @@
-"""Loading the compiled region kernel: it loads wherever ``gcc`` runs, and
-every way of failing to build or load it leaves the numpy body in place."""
+"""Loading the compiled kernel: its region and sweep functions load
+wherever ``gcc`` runs, and every way of failing to build or load it leaves
+the numpy body and the Python block loop in place."""
 
 import os
 import shutil
@@ -9,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from stencilpipe import kernel
+from stencilpipe import kernel, pipeline
+from stencilpipe.grid import FillPattern, GridDims, allocate
+from stencilpipe.pipeline import PipelineConfig, run_node_sweeps
+from stencilpipe.verify import compare, oracle
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 PROBE = "import stencilpipe.kernel as k; print(k.BACKEND)"
@@ -41,6 +45,28 @@ def test_gcc_on_path_means_the_c_backend():
     # Every other test passes on numpy too, so without this a broken build
     # would go unnoticed.
     assert shutil.which("gcc") is None or kernel.BACKEND == "c"
+
+
+@needs_gcc
+def test_gcc_on_path_means_the_compiled_sweep(monkeypatch):
+    # Pipelines fall back to the Python block loop when the sweep function
+    # is missing, and every other test passes there too; so it must load
+    # next to update_region, and a run must not enter the Python loop.
+    assert kernel._c_update is not None and kernel._c_sweep is not None
+
+    def python_loop(*args):
+        raise AssertionError("the Python block loop ran under the c backend")
+
+    monkeypatch.setattr(pipeline, "_apply_levels", python_loop)
+    d = GridDims(12, 12, 12)
+    pat = FillPattern.random(89)
+    for storage in ("twogrid", "compressed"):
+        for sync in ("barrier", "relaxed"):
+            cfg = PipelineConfig(team_size=2, block=(12, 6, 6), sync=sync,
+                                 storage=storage)
+            g = allocate(d, storage, pat, slack=cfg.levels_per_sweep)
+            run_node_sweeps(g, cfg, 2)
+            assert compare(oracle(d, pat, 8), g).bitwise, (storage, sync)
 
 
 def test_missing_compiler_falls_back_to_numpy(tmp_path):

@@ -1,10 +1,11 @@
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from stencilpipe import decomp, pipeline
+from stencilpipe import decomp, pipeline, transport
 from stencilpipe.decomp import (Decomposition, DecompositionError, decompose,
                                 exchange_halos, level_domains_for_rank,
                                 local_grid, outer_step, run_distributed)
@@ -279,27 +280,45 @@ def test_mis_sized_halo_names_the_receiver(monkeypatch, run_bounded):
 
 
 def test_pipeline_failure_in_a_rank_names_rank_and_thread(monkeypatch,
-                                                          run_bounded):
+                                                          run_bounded,
+                                                          backends):
     # A 17-cell x split gives rank 0 nine columns and rank 1 eight; pipe-1
     # of rank 1 raises, rank 0 is torn down waiting for its next halo.
+    # The Python loop fails in pipe-1's block update, the compiled one in
+    # pipe-1's per-sweep call.
     boom = FloatingPointError("boom in rank 1, thread 1")
+
+    def in_rank_1_pipe_1(grid):
+        return (grid.dims.nx == 8
+                and threading.current_thread().name == "pipe-1")
+
     apply_levels = pipeline._apply_levels
+    run_sweep_c = pipeline._Runner._run_sweep_c
 
     def failing(grid, sched, blk, levels):
-        if (grid.dims.nx == 8
-                and threading.current_thread().name == "pipe-1"):
+        if in_rank_1_pipe_1(grid):
             raise boom
         apply_levels(grid, sched, blk, levels)
 
-    monkeypatch.setattr(pipeline, "_apply_levels", failing)
+    def failing_call(self, i, sweep, sched):
+        if in_rank_1_pipe_1(self.grid):
+            raise boom
+        run_sweep_c(self, i, sweep, sched)
+
     cfg = PipelineConfig(team_size=2, updates_per_thread=1)
-    err = run_bounded(lambda: run_distributed(
-        GridDims(17, 8, 8), FillPattern.random(71), (2, 1, 1), cfg,
-        outer_steps=2))
-    assert isinstance(err, TransportError)
-    assert str(err).startswith("rank 1 failed: PipelineError(")
-    assert "pipe 1 failed: FloatingPointError" in str(err)
-    assert err.__cause__.__cause__ is boom
+    for backend in backends:
+        with monkeypatch.context() as mp:
+            if backend == "c":
+                mp.setattr(pipeline._Runner, "_run_sweep_c", failing_call)
+            else:
+                mp.setattr(pipeline, "_apply_levels", failing)
+            err = run_bounded(lambda: run_distributed(
+                GridDims(17, 8, 8), FillPattern.random(71), (2, 1, 1), cfg,
+                outer_steps=2))
+        assert isinstance(err, TransportError)
+        assert str(err).startswith("rank 1 failed: PipelineError(")
+        assert "pipe 1 failed: FloatingPointError" in str(err)
+        assert err.__cause__.__cause__ is boom
 
 
 def test_rank_raising_between_halo_phases_names_the_rank(monkeypatch,
@@ -321,3 +340,39 @@ def test_rank_raising_between_halo_phases_names_the_rank(monkeypatch,
     assert isinstance(err, TransportError)
     assert str(err).startswith("rank 1 failed:"), str(err)
     assert err.__cause__ is boom
+
+
+def _corrupt(raw: bytes, case: str) -> bytes:
+    if case == "truncated":
+        return raw[:10]
+    bad = bytearray(raw)
+    struct.pack_into("<I", bad, 0, 0xDEADBEEF)
+    return bytes(bad)
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("truncated", "truncated message header"),
+    ("bad-magic", "bad magic 0xDEADBEEF"),
+])
+def test_corrupted_message_names_the_receiver(monkeypatch, run_bounded, case,
+                                              reason):
+    # Rank 1's first message, its x slab for rank 0, is corrupted on the
+    # wire.  Rank 0 refuses it, naming itself and the sender; rank 1,
+    # waiting for its next halo, is torn down and not reported.
+    encode = transport.encode_message
+    sent = []
+
+    def corrupting(header, payload):
+        raw = encode(header, payload)
+        if threading.current_thread().name == "rank-1" and not sent:
+            sent.append(header)
+            return _corrupt(raw, case)
+        return raw
+
+    monkeypatch.setattr(transport, "encode_message", corrupting)
+    err = run_bounded(lambda: run_distributed(
+        GridDims(16, 8, 8), FillPattern.random(79), (2, 1, 1),
+        PipelineConfig(updates_per_thread=2), outer_steps=2))
+    assert isinstance(err, TransportError)
+    assert str(err).startswith("rank 0: bad message from 1:"), str(err)
+    assert str(err).endswith(reason)

@@ -1,19 +1,22 @@
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, given, settings,
+                        strategies as st)
 
 from stencilpipe import pipeline
 from stencilpipe.decomp import decompose, level_domains_for_rank
-from stencilpipe.grid import FillPattern, GridDims, allocate
+from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   PipelineError, PipelineTimeout,
                                   ScheduleError, audit_trace, build_schedule,
                                   default_block_size, effective_bounds,
                                   instrumented_run, may_proceed,
                                   run_node_sweeps, trace_csv)
+from stencilpipe.transport import Aborted
 from stencilpipe.verify import compare, oracle
 
 
@@ -234,38 +237,61 @@ def test_compressed_ghost_refresh_needs_no_pattern(monkeypatch):
     assert compare(ref, g).bitwise
 
 
-def test_stalled_thread_times_out(monkeypatch):
+def test_stalled_thread_times_out(monkeypatch, backends):
     # Thread 1's gate never opens: the run must end soon after the spin
     # timeout with an error naming the thread, and leave no worker behind.
+    # The Python loop's gate is shut for thread 1.  The compiled gate reads
+    # only counters, and any bounds that keep thread 1 waiting keep thread
+    # 0 spinning too, which could then time out first; so there thread 0
+    # never delivers a block, waiting outside C until the run is aborted,
+    # and thread 1 spins in C on a predecessor count that stays 0.
     monkeypatch.setattr(pipeline._Runner, "_SPIN_TIMEOUT", 0.2)
-    monkeypatch.setattr(pipeline, "may_proceed", lambda c, i, *a: i != 1)
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
                          block=(8, 4, 4))
-    g = allocate(d, "twogrid", FillPattern.random(61))
-    errors = []
+    run_sweep_c = pipeline._Runner._run_sweep_c
 
-    def run():
-        try:
-            run_node_sweeps(g, cfg, 1)
-        except PipelineTimeout as exc:
-            errors.append(exc)
+    def idle_front(self, i, sweep, sched):
+        if i == 0:
+            while not self.stop.value:
+                time.sleep(0.001)
+            raise Aborted
+        run_sweep_c(self, i, sweep, sched)
 
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(timeout=5.0)
-    assert not caller.is_alive()
-    assert len(errors) == 1 and "thread 1 " in str(errors[0])
-    assert not [th for th in threading.enumerate()
-                if th.name.startswith("pipe-")]
+    for backend in backends:
+        g = allocate(d, "twogrid", FillPattern.random(61))
+        errors = []
+
+        def run():
+            try:
+                run_node_sweeps(g, cfg, 1)
+            except PipelineTimeout as exc:
+                errors.append(exc)
+
+        with monkeypatch.context() as mp:
+            if backend == "c":
+                mp.setattr(pipeline._Runner, "_run_sweep_c", idle_front)
+            else:
+                mp.setattr(pipeline, "may_proceed", lambda c, i, *a: i != 1)
+            caller = threading.Thread(target=run, daemon=True)
+            caller.start()
+            caller.join(timeout=5.0)
+        assert not caller.is_alive()
+        assert len(errors) == 1 and "thread 1 " in str(errors[0])
+        assert not [th for th in threading.enumerate()
+                    if th.name.startswith("pipe-")]
 
 
 @pytest.mark.parametrize("storage", ["twogrid", "compressed"])
 @pytest.mark.parametrize("sync", ["barrier", "relaxed"])
 def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
-                                         storage):
-    # pipe-1 raises on its third block: thread 0 runs ahead and thread 2
-    # waits behind it, and both must be torn down, not reported.
+                                         storage, backends):
+    # pipe-1 fails while thread 0 waits ahead of it (d_u = 1, or the
+    # barrier) and thread 2 behind it; both must be torn down, not
+    # reported.  In the Python loop pipe-1 raises on its third block.  In
+    # the compiled one its whole sweep is one call, which is replaced by
+    # one that raises once thread 0 has done a block, so that the others
+    # spin inside C and only the abort flag can free them.
     boom = FloatingPointError("boom in worker")
     apply_levels = pipeline._apply_levels
     calls = []
@@ -277,16 +303,33 @@ def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
                 raise boom
         apply_levels(grid, sched, blk, levels)
 
-    monkeypatch.setattr(pipeline, "_apply_levels", failing)
+    run_sweep_c = pipeline._Runner._run_sweep_c
+
+    def failing_call(self, i, sweep, sched):
+        if threading.current_thread().name == "pipe-1":
+            while self.counters[0] == 0:
+                time.sleep(0.001)
+            time.sleep(0.02)
+            raise boom
+        run_sweep_c(self, i, sweep, sched)
+
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=3, updates_per_thread=1,
-                         block=(8, 4, 4), sync=sync, storage=storage)
-    g = allocate(d, storage, FillPattern.random(67),
-                 slack=cfg.levels_per_sweep)
-    err = run_bounded(lambda: run_node_sweeps(g, cfg, 2))
-    assert isinstance(err, PipelineError)
-    assert str(err).startswith("pipe 1 failed: FloatingPointError")
-    assert err.__cause__ is boom
+                         max_dist=1, block=(8, 4, 4), sync=sync,
+                         storage=storage)
+    for backend in backends:
+        calls.clear()
+        g = allocate(d, storage, FillPattern.random(67),
+                     slack=cfg.levels_per_sweep)
+        with monkeypatch.context() as mp:
+            if backend == "c":
+                mp.setattr(pipeline._Runner, "_run_sweep_c", failing_call)
+            else:
+                mp.setattr(pipeline, "_apply_levels", failing)
+            err = run_bounded(lambda: run_node_sweeps(g, cfg, 2))
+        assert isinstance(err, PipelineError)
+        assert str(err).startswith("pipe 1 failed: FloatingPointError")
+        assert err.__cause__ is boom
 
 
 def test_storage_mismatch_rejected():
@@ -324,16 +367,17 @@ def test_compressed_needs_slack():
     assert g.data.tobytes() == before.tobytes()
 
 
-def test_instrumented_trace_obeys_distances():
+def test_instrumented_trace_obeys_distances(backends):
     d = GridDims(16, 16, 16)
     cfg = PipelineConfig(teams=2, team_size=2, updates_per_thread=1,
                          min_dist=1, max_dist=3, team_delay=2,
                          block=(16, 4, 4))
-    g = allocate(d, "twogrid", FillPattern.random(1))
-    trace = instrumented_run(g, cfg, 2)
     sched_blocks = 16  # 4x4 blocks in y, z
-    assert len(trace) == 2 * cfg.n_threads * sched_blocks
-    assert audit_trace(trace, cfg, n_blocks=sched_blocks) == []
+    for backend in backends:
+        g = allocate(d, "twogrid", FillPattern.random(1))
+        trace = instrumented_run(g, cfg, 2)
+        assert len(trace) == 2 * cfg.n_threads * sched_blocks, backend
+        assert audit_trace(trace, cfg, n_blocks=sched_blocks) == [], backend
 
 
 def test_tight_distances_pin_the_window():
@@ -353,15 +397,16 @@ def test_tight_distances_pin_the_window():
             assert 1 <= ev.c_prev - ev.c_self <= 2
 
 
-def test_trace_csv_format():
+def test_trace_csv_format(backends):
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=1, updates_per_thread=1)
-    g = allocate(d, "twogrid", FillPattern.constant(0.0))
-    trace = instrumented_run(g, cfg, 1)
-    text = trace_csv(trace)
-    lines = text.strip().split("\n")
-    assert lines[0] == "sweep,thread,block,c_prev,c_self,c_next"
-    assert lines[1] == "0,0,0,-1,0,-1"
+    for backend in backends:
+        g = allocate(d, "twogrid", FillPattern.constant(0.0))
+        trace = instrumented_run(g, cfg, 1)
+        text = trace_csv(trace)
+        lines = text.strip().split("\n")
+        assert lines[0] == "sweep,thread,block,c_prev,c_self,c_next"
+        assert lines[1] == "0,0,0,-1,0,-1", backend
 
 
 def test_randomized_runs_audit_clean():
@@ -386,6 +431,70 @@ def test_randomized_runs_audit_clean():
         sched = build_schedule(d, cfg)
         assert audit_trace(trace, cfg, n_blocks=sched.n_blocks) == []
         assert compare(oracle(d, pat, 2 * U), g).bitwise
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_pipelines_audit_clean_and_bitwise(data, backends):
+    # The compiled gate against may_proceed, through audit_trace, and every
+    # storage and sync mode against the oracle, on both backends.
+    teams = data.draw(st.integers(1, 2), label="teams")
+    t = data.draw(st.integers(1, 3), label="team size")
+    T = data.draw(st.integers(1, 2), label="T")
+    sync = data.draw(st.sampled_from(["barrier", "relaxed"]), label="sync")
+    storage = data.draw(st.sampled_from(["twogrid", "compressed"]),
+                        label="storage")
+    # Barrier lockstep keeps a thread one block behind its predecessor,
+    # plus the team delay at a team's front, which the audit passes only
+    # while d_l is 1.
+    d_l = data.draw(st.integers(1, 3), label="d_l") if sync == "relaxed" else 1
+    d_u = data.draw(st.integers(d_l, d_l + 4), label="d_u")
+    delay = data.draw(st.integers(0, 3), label="team delay")
+    U = teams * t * T
+    dims = data.draw(st.tuples(*[st.integers(1, 12)] * 3), label="(nx, ny, nz)")
+    block = tuple(data.draw(st.integers(max(1, min(U, n)), n + 2),
+                            label="block") for n in dims)
+    cfg = PipelineConfig(teams=teams, team_size=t, updates_per_thread=T,
+                         min_dist=d_l, max_dist=d_u, team_delay=delay,
+                         sync=sync, storage=storage, block=block)
+    gd = GridDims(*dims)
+    directions = (-1, 1) if storage == "compressed" else (-1,)
+    try:
+        scheds = [build_schedule(gd, cfg, direction=s) for s in directions]
+    except ScheduleError:
+        assume(False)
+    n_blocks = scheds[0].n_blocks
+    pat = FillPattern.random(data.draw(st.integers(0, 1 << 30), label="seed"))
+    ref = oracle(gd, pat, 2 * U)
+    for backend in backends:
+        g = allocate(gd, storage, pat, slack=U)   # one sweep down, one up
+        trace = instrumented_run(g, cfg, 2)
+        assert len(trace) == 2 * cfg.n_threads * n_blocks, backend
+        assert audit_trace(trace, cfg, n_blocks=n_blocks) == [], backend
+        assert compare(ref, g).bitwise, backend
+
+
+@pytest.mark.parametrize("reach", ["low", "high"])
+@pytest.mark.parametrize("sync", ["barrier", "relaxed"])
+def test_domain_past_the_ghost_shell_refused_before_any_write(reach, sync,
+                                                              backends):
+    # Level 2, thread 1's, reaches two layers past the interior of a grid
+    # whose ghost shell is one deep.  The check runs per sweep, before
+    # thread 0 writes any block of level 1, which is valid.  Compressed
+    # storage takes no level domains at all.
+    d = GridDims(8, 8, 8)
+    cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
+                         block=(8, 4, 4), sync=sync)
+    inside = ((0, 0, 0), d.shape)
+    beyond = (((-2, 0, 0), d.shape) if reach == "low"
+              else ((0, 0, 0), (8, 8, 10)))
+    for backend in backends:
+        g = allocate(d, "twogrid", FillPattern.random(83))
+        before = (g.a.tobytes(), g.b.tobytes())
+        with pytest.raises(GridError):
+            run_node_sweeps(g, cfg, 2, level_domains=[inside, beyond])
+        assert (g.a.tobytes(), g.b.tobytes()) == before, backend
 
 
 def test_default_block_size_valid():
