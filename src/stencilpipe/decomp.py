@@ -109,16 +109,14 @@ def decompose(global_dims: GridDims, ranks: int, layout: tuple[int, int, int],
 
 
 class _ShiftedPattern:
-    """Pattern evaluated in global coordinates for a subdomain origin."""
+    """Pattern filled in global coordinates for a subdomain origin."""
 
     def __init__(self, pattern: FillPattern, origin):
         self._pattern = pattern
         self._origin = tuple(origin)  # (z, y, x)
 
-    def evaluate(self, lo, hi) -> np.ndarray:
-        glo = tuple(l + o for l, o in zip(lo, self._origin))
-        ghi = tuple(h + o for h, o in zip(hi, self._origin))
-        return self._pattern.evaluate(glo, ghi)
+    def fill(self, out: np.ndarray, lo) -> None:
+        self._pattern.fill(out, tuple(l + o for l, o in zip(lo, self._origin)))
 
 
 def local_grid(decomp: Decomposition, rank: int, pattern: FillPattern) -> TwoGrid:
@@ -199,7 +197,9 @@ def run_distributed(global_dims: GridDims, pattern: FillPattern,
                     outer_steps: int):
     """Loopback multi-rank run; returns (gathered global field, rank fields).
 
-    Every outer step exchanges halos of width h = ``cfg.levels_per_sweep``
+    Each rank field is a view of its owned box in the gathered field, into
+    which the rank writes its interior once its steps are done.  Every
+    outer step exchanges halos of width h = ``cfg.levels_per_sweep``
     and runs one node sweep of ``cfg`` on each rank, so the gathered
     interior equals outer_steps * h naive sweeps of the undecomposed
     problem, bit for bit.  A config the outer step cannot run raises
@@ -209,17 +209,15 @@ def run_distributed(global_dims: GridDims, pattern: FillPattern,
     _check_config(cfg, h)
     px, py, pz = layout
     decomp = decompose(global_dims, px * py * pz, layout, h)
+    gathered = np.empty(global_dims.shape, dtype=np.float64)
 
     def program(rank: int, endpoint: Endpoint) -> np.ndarray:
         grid = local_grid(decomp, rank, pattern)
         for step in range(outer_steps):
             exchange_halos(grid, decomp, rank, endpoint, step)
             outer_step(grid, decomp, rank, cfg)
-        return grid.interior().copy()
+        field = gathered[tuple(slice(*r) for r in decomp.ranges(rank))]
+        field[...] = grid.interior()
+        return field
 
-    rank_fields = spawn_world(decomp.n_ranks, program)
-    gathered = np.empty(global_dims.shape, dtype=np.float64)
-    for rank, field in enumerate(rank_fields):
-        sl = tuple(slice(lo, hi) for lo, hi in decomp.ranges(rank))
-        gathered[sl] = field
-    return gathered, rank_fields
+    return gathered, spawn_world(decomp.n_ranks, program)

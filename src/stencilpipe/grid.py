@@ -117,6 +117,33 @@ class FillPattern:
                 + np.zeros(shape)
         raise GridError(f"unknown fill pattern {self.kind!r}")
 
+    def fill(self, out: np.ndarray, lo) -> None:
+        """Write the values over the logical box at ``lo`` with ``out``'s
+        shape into the float64 view ``out``.
+
+        Under the ``c`` backend ``random`` is one call of the compiled
+        ``fill_random``, which releases the interpreter lock; every other
+        case writes :meth:`evaluate` in eighths of z, which bounds its
+        temporaries.
+        """
+        # Looked up per call: kernel imports this module.
+        from . import kernel
+
+        fn = kernel._c_fill
+        if out.dtype != np.float64 or out.ndim != 3 or not out.flags.writeable:
+            raise GridError("a fill needs a writeable 3-D float64 view")
+        if self.kind == "random" and fn is not None:
+            fn(out.ctypes.data, *out.shape, *(s // 8 for s in out.strides),
+               *lo, self.seed & 0xFFFFFFFFFFFFFFFF)
+            return
+        nz = out.shape[0]
+        step = -(-nz // 8)
+        for z in range(0, nz, step):
+            e = min(z + step, nz)
+            out[z:e] = self.evaluate(
+                (lo[0] + z, *lo[1:]),
+                (lo[0] + e, *(l + n for l, n in zip(lo[1:], out.shape[1:]))))
+
 
 class TwoGrid:
     """Ping-pong pair of arrays; ``active`` selects the current level.
@@ -138,12 +165,7 @@ class TwoGrid:
         buf = np.empty(start + size)
         self.a = buf[:size].reshape(shape)
         self.b = buf[start:].reshape(shape)
-        # Filling in eighths of z bounds the pattern's temporaries.
-        lo, hi = (-g,) * 3, tuple(n - g for n in shape)
-        step = -(-shape[0] // 8)
-        for z in range(lo[0], hi[0], step):
-            self.a[z + g:z + g + step] = pattern.evaluate(
-                (z, *lo[1:]), (min(z + step, hi[0]), *hi[1:]))
+        pattern.fill(self.a, (-g,) * 3)
         self.b[...] = self.a
         self.active = 0
 
@@ -193,9 +215,8 @@ class CompressedGrid:
         self.slack = slack
         self.offset = slack
         self.data = np.zeros(extents, dtype=np.float64)
-        box = pattern.evaluate((-1, -1, -1), tuple(n + 1 for n in dims.shape))
-        sl = tuple(slice(slack, slack + n + 2) for n in dims.shape)
-        self.data[sl] = box
+        box = self.full_view()
+        pattern.fill(box, (-1, -1, -1))
         # Dirichlet ghost faces (low, high) per array axis, each one layer
         # thick along its axis; ``restore_ghosts`` copies from these.
         self.faces = [(np.take(box, [0], axis=d), np.take(box, [-1], axis=d))

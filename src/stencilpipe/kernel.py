@@ -11,14 +11,17 @@ library is built in a private temporary directory for this process only.
 Any failure to build or load, a missing symbol included, leaves the numpy
 backend in place.  ``ctypes`` releases the interpreter lock for each call.
 
-The library exports two functions around one ``static`` region body,
-``region``, which holds the only C stencil loop.  ``update_region`` calls
-it once.  ``sweep_thread`` runs one pipeline thread's whole node sweep: it
-walks the thread's blocks in the schedule's order, gates each on the
-neighbours' counters (or the barrier's step counts), restores a compressed
-level's ghost faces, calls ``region`` for each of the thread's levels and
-publishes its count; see :mod:`.pipeline` for the rules and :class:`Sweep`
-for its arguments.
+The library exports three functions.  Two sit around one ``static``
+region body, ``region``, which holds the only C stencil loop.
+``update_region`` calls it once.  ``sweep_thread`` runs one pipeline
+thread's whole node sweep: it walks the thread's blocks in the schedule's
+order, gates each on the neighbours' counters (or the barrier's step
+counts), restores a compressed level's ghost faces, calls ``region`` for
+each of the thread's levels and publishes its count; see :mod:`.pipeline`
+for the rules and :class:`Sweep` for its arguments.  ``fill_random``
+writes the ``random`` fill pattern's hash into a strided view for any
+logical box; ``FillPattern.fill`` calls it, while ``FillPattern.evaluate``
+stays the numpy definition of the pattern.
 
 A compressed level passes two overlapping views of one array.  The C loop
 follows the ``memmove`` rule: it runs forward when ``dst <= src`` and in
@@ -261,6 +264,34 @@ int64_t sweep_thread(const struct sweep *s, int64_t i, int64_t *record,
     }
     return SWEEP_DONE;
 }
+
+static uint64_t mix64(uint64_t h)
+{
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+    return h ^ (h >> 31);
+}
+
+/* grid.FillPattern.random over the logical box of nz*ny*nx cells whose
+   first cell is (z0, y0, x0), written into dst with element strides sz,
+   sy and sx.  Coordinates wrap to uint64 as numpy's casts do. */
+void fill_random(double *dst, ptrdiff_t nz, ptrdiff_t ny, ptrdiff_t nx,
+                 ptrdiff_t sz, ptrdiff_t sy, ptrdiff_t sx,
+                 int64_t z0, int64_t y0, int64_t x0, uint64_t seed)
+{
+    for (ptrdiff_t z = 0; z < nz; z++) {
+        const uint64_t hz = (uint64_t)(z0 + z) * 0x9E3779B97F4A7C15ULL;
+        for (ptrdiff_t y = 0; y < ny; y++) {
+            const uint64_t hy = hz ^ (uint64_t)(y0 + y) * 0xBF58476D1CE4E5B9ULL;
+            double *d = dst + z * sz + y * sy;
+            for (ptrdiff_t x = 0; x < nx; x++) {
+                uint64_t h = (hy ^ (uint64_t)(x0 + x) * 0x94D049BB133111EBULL)
+                             + seed;
+                d[x * sx] = (double)(mix64(mix64(h)) >> 11) * 0x1p-53;
+            }
+        }
+    }
+}
 """
 
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -325,8 +356,8 @@ SWEEP_DONE, SWEEP_ABORTED, SWEEP_TIMEOUT = range(3)
 
 
 def _load():
-    """The compiled ``update_region`` and ``sweep_thread`` functions, or
-    (None, None) when the library cannot be built or loaded."""
+    """The compiled ``update_region``, ``sweep_thread`` and ``fill_random``
+    functions, or three Nones when the library cannot be built or loaded."""
     digest = hashlib.sha256("\0".join((_SOURCE, *_CFLAGS)).encode())
     name = f"region-{digest.hexdigest()[:24]}.so"
     try:
@@ -341,17 +372,21 @@ def _load():
             with tempfile.TemporaryDirectory(prefix="stencilpipe-") as tmp:
                 lib = ctypes.CDLL(_compile(tmp, name))
         update, sweep = lib.update_region, lib.sweep_thread
+        fill = lib.fill_random
     except (OSError, subprocess.SubprocessError, AttributeError):
-        return None, None
+        return None, None, None
     update.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
     update.restype = None
     sweep.argtypes = [ctypes.POINTER(Sweep), ctypes.c_int64, ctypes.c_void_p,
                       ctypes.POINTER(ctypes.c_int64)]
     sweep.restype = ctypes.c_int64
-    return update, sweep
+    fill.argtypes = ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
+                     + [ctypes.c_int64] * 3 + [ctypes.c_uint64])
+    fill.restype = None
+    return update, sweep, fill
 
 
-_c_update, _c_sweep = _load()
+_c_update, _c_sweep, _c_fill = _load()
 BACKEND = "numpy" if _c_update is None else "c"
 
 

@@ -92,24 +92,32 @@ class MessageHeader:
     payload_len: int
 
 
-def encode_message(header: MessageHeader, payload: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(payload, dtype="<f8").tobytes()
-    if header.payload_len != len(data):
+def encode_message(header: MessageHeader, payload: np.ndarray) -> bytearray:
+    """The header and the payload's values in one buffer, which receives
+    the payload with one copy."""
+    data = np.ascontiguousarray(payload, dtype="<f8")
+    if header.payload_len != data.nbytes:
         raise TransportError(
-            f"payload_len {header.payload_len} != payload bytes {len(data)}")
-    return _HEADER.pack(MAGIC, header.sweep, header.phase, header.side,
-                        header.depth, header.payload_len) + data
+            f"payload_len {header.payload_len} != payload bytes {data.nbytes}")
+    raw = bytearray(_HEADER.pack(MAGIC, header.sweep, header.phase,
+                                 header.side, header.depth, header.payload_len))
+    # Appending grows the buffer without zeroing it first.
+    raw += memoryview(data.reshape(-1)).cast("B")
+    return raw
 
 
-def decode_message(raw: bytes) -> tuple[MessageHeader, np.ndarray]:
+def decode_message(raw) -> tuple[MessageHeader, np.ndarray]:
+    """The header and a view of the payload's values inside ``raw``."""
     if len(raw) < HEADER_SIZE:
         raise TransportError("truncated message header")
     magic, sweep, phase, side, depth, payload_len = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise TransportError(f"bad magic 0x{magic:08X}")
-    body = raw[HEADER_SIZE:]
+    body = memoryview(raw)[HEADER_SIZE:]
     if len(body) != payload_len:
         raise TransportError(f"payload length {len(body)} != header {payload_len}")
+    if payload_len % 8:
+        raise TransportError(f"payload length {payload_len} is not whole f64s")
     header = MessageHeader(sweep, phase, side, depth, payload_len)
     return header, np.frombuffer(body, dtype="<f8")
 

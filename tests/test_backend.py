@@ -1,7 +1,8 @@
-"""Loading the compiled kernel: its region and sweep functions load
+"""Loading the compiled kernel: its region, sweep and fill functions load
 wherever ``gcc`` runs, and every way of failing to build or load it leaves
-the numpy body and the Python block loop in place."""
+the numpy body, the Python block loop and the numpy fill in place."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -11,21 +12,28 @@ from pathlib import Path
 import pytest
 
 from stencilpipe import kernel, pipeline
+from stencilpipe.decomp import decompose, local_grid
 from stencilpipe.grid import FillPattern, GridDims, allocate
 from stencilpipe.pipeline import PipelineConfig, run_node_sweeps
 from stencilpipe.verify import compare, oracle
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 PROBE = "import stencilpipe.kernel as k; print(k.BACKEND)"
+# Also prints the digest of a random grid's two arrays.
+FILL_PROBE = PROBE + (
+    "; import hashlib"
+    "; from stencilpipe.grid import FillPattern, GridDims, TwoGrid"
+    "; g = TwoGrid(GridDims(9, 7, 5, ghost=2), FillPattern.random(2**63 + 5))"
+    "; print(hashlib.sha256(g.a.tobytes() + g.b.tobytes()).hexdigest())")
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
                                reason="no gcc on PATH")
 
 
-def _importer(cache, **env):
-    """A fresh interpreter that imports the kernel with ``cache`` as
-    ``XDG_CACHE_HOME`` and prints the backend it got."""
+def _importer(cache, probe=PROBE, **env):
+    """A fresh interpreter that runs ``probe`` with ``cache`` as
+    ``XDG_CACHE_HOME``; every probe first prints the backend it got."""
     return subprocess.Popen(
-        [sys.executable, "-c", PROBE], stdout=subprocess.PIPE,
+        [sys.executable, "-c", probe], stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache),
                  **env))
@@ -69,10 +77,30 @@ def test_gcc_on_path_means_the_compiled_sweep(monkeypatch):
             assert compare(oracle(d, pat, 8), g).bitwise, (storage, sync)
 
 
+@needs_gcc
+def test_gcc_on_path_means_the_compiled_fill(monkeypatch):
+    # Grids fill through FillPattern.evaluate when fill_random is missing,
+    # and every other test passes there too; so it must load, and a random
+    # grid must not evaluate the pattern in any storage or in a rank.
+    assert kernel._c_fill is not None
+
+    def evaluate(*args):
+        raise AssertionError("FillPattern.evaluate ran under the c backend")
+
+    monkeypatch.setattr(FillPattern, "evaluate", evaluate)
+    pat = FillPattern.random(89)
+    allocate(GridDims(9, 7, 5, ghost=2), "twogrid", pat)
+    allocate(GridDims(9, 7, 5), "compressed", pat, slack=2)
+    local_grid(decompose(GridDims(12, 8, 8), 2, (2, 1, 1), 2), 1, pat)
+
+
 def test_missing_compiler_falls_back_to_numpy(tmp_path):
     empty = tmp_path / "bin"
     empty.mkdir()
-    assert _backends_of(_importer(tmp_path, PATH=str(empty))) == ["numpy"]
+    got = _backends_of(_importer(tmp_path, FILL_PROBE, PATH=str(empty)))
+    want = FillPattern.random(2**63 + 5).evaluate((-2,) * 3, (7, 9, 11))
+    assert got[0].split() == [
+        "numpy", hashlib.sha256(want.tobytes() * 2).hexdigest()]
     assert list((tmp_path / "stencilpipe").iterdir()) == []
 
 

@@ -243,6 +243,23 @@ def test_shuffled_phase_order_breaks_corners(monkeypatch):
     assert not compare(ref, bad).passed
 
 
+@pytest.mark.parametrize("layout", [(2, 1, 1), (2, 2, 1)])
+def test_rank_fields_are_views_of_the_gathered_field(layout):
+    # Each rank writes its interior straight into its box of the gathered
+    # field: no per-rank copy and no serial gather loop.
+    gd = GridDims(12, 10, 8)
+    pat = FillPattern.random(53)
+    gathered, fields = run_distributed(gd, pat, layout,
+                                       PipelineConfig(updates_per_thread=2),
+                                       outer_steps=2)
+    assert compare(oracle(gd, pat, 4).interior(), gathered).bitwise
+    d = decompose(gd, len(fields), layout, 2)
+    for rank, field in enumerate(fields):
+        box = gathered[tuple(slice(lo, hi) for lo, hi in d.ranges(rank))]
+        assert np.shares_memory(field, gathered), rank
+        assert field.shape == box.shape and np.array_equal(field, box), rank
+
+
 def test_distributed_rejects_compressed_config(monkeypatch):
     def no_world(*args):
         raise AssertionError("ranks started for a config that cannot run")

@@ -2,9 +2,9 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stencilpipe.decomp import Decomposition, local_grid
+from stencilpipe.decomp import Decomposition, decompose, local_grid
 from stencilpipe.grid import (CompressedGrid, FillPattern, GridDims, GridError,
                               TwoGrid, allocate, dump_field, extract_layers,
                               inject_layers)
@@ -59,6 +59,70 @@ def test_random_fill_is_coordinate_addressed():
     full = pat.evaluate((-1, -1, -1), (9, 9, 9))
     box = pat.evaluate((3, 2, 1), (6, 5, 4))
     assert np.array_equal(full[4:7, 3:6, 2:5], box)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+# Seeds that wrap: the pattern masks them to 64 bits.
+_SEEDS = st.sampled_from([0, -1, -2 ** 63, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 3])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fill_is_the_pattern(data, backends):
+    # Every grid fills through FillPattern.fill, one C call for random under
+    # the c backend; its arrays must equal evaluate, the numpy definition
+    # that the oracle's and the benchmark's starting fields come from.
+    seed = data.draw(_SEEDS | st.integers(-2 ** 70, 2 ** 70), label="seed")
+    pat = data.draw(st.sampled_from([
+        FillPattern.random(seed), FillPattern.linear(),
+        FillPattern.hotplate(), FillPattern.constant(0.5)]), label="pattern")
+    n = data.draw(st.tuples(*[st.integers(1, 6)] * 3), label="(nz, ny, nx)")
+    ghost = data.draw(st.integers(1, 3), label="ghost")
+    slack = data.draw(st.integers(0, 3), label="slack")
+    layout = data.draw(st.sampled_from([(2, 1, 1), (1, 1, 2), (2, 2, 1)]),
+                       label="layout")
+    nz, ny, nx = n
+    dims = GridDims(nx, ny, nz, ghost)
+    # Each rank owns at least ghost cells per split axis.
+    split = (layout[2], layout[1], layout[0])
+    gd = GridDims(*[p * max(m, ghost) for p, m in zip(split, n)][::-1])
+    dec = decompose(gd, layout[0] * layout[1] * layout[2], layout, ghost)
+    for backend in backends:
+        g = TwoGrid(dims, pat)
+        want = pat.evaluate((-ghost,) * 3, tuple(m + ghost for m in n))
+        assert _same_bits(g.a, want) and _same_bits(g.b, want), backend
+
+        c = CompressedGrid(GridDims(nx, ny, nz), pat, slack)
+        box = pat.evaluate((-1,) * 3, tuple(m + 1 for m in n))
+        assert c.offset == slack
+        assert _same_bits(c.full_view(), box), backend
+        rest = np.ones(c.data.shape, dtype=bool)
+        rest[tuple(slice(slack, slack + m + 2) for m in n)] = False
+        assert not c.data[rest].any(), backend   # the slack stays zero
+        for d, (low, high) in enumerate(c.faces):
+            assert _same_bits(low, np.take(box, [0], axis=d)), backend
+            assert _same_bits(high, np.take(box, [-1], axis=d)), backend
+
+        # A view strided on every axis, x included, at an arbitrary origin.
+        buf = np.zeros((2 * nz, 2 * ny, 3 * nx))
+        lo = (-ghost, 5, -7)
+        pat.fill(buf[::2, ::2, 1::3], lo)
+        want = pat.evaluate(lo, tuple(l + m for l, m in zip(lo, n)))
+        assert _same_bits(buf[::2, ::2, 1::3], want), backend
+        buf[::2, ::2, 1::3] = 0.0
+        assert not buf.any(), backend
+
+        for rank in range(dec.n_ranks):
+            origin = [r[0] - ghost for r in dec.ranges(rank)]
+            shape = dec.local_dims(rank).alloc_shape
+            want = pat.evaluate(origin, [o + m for o, m in zip(origin, shape)])
+            assert _same_bits(local_grid(dec, rank, pat).a, want), (backend,
+                                                                   rank)
 
 
 def test_constant_value_at_everywhere():

@@ -29,6 +29,36 @@ def test_encode_decode_round_trip():
     assert got_payload.dtype == np.dtype("<f8")
 
 
+_PAYLOADS = {
+    "empty": np.zeros(0),
+    "odd-length": np.linspace(-3.0, 5.0, 7),
+    # An x face of a (z, y, x) block: every element a row apart.
+    "strided-x-face": np.arange(60.0).reshape(3, 4, 5)[:, :, :1],
+}
+
+
+@pytest.mark.parametrize("payload", list(_PAYLOADS.values()),
+                         ids=list(_PAYLOADS))
+def test_wire_format_is_header_then_values(payload):
+    header = MessageHeader(sweep=7, phase=2, side=1, depth=3,
+                           payload_len=payload.nbytes)
+    raw = encode_message(header, payload)
+    assert raw == struct.pack("<IIBBHQ", MAGIC, 7, 2, 1, 3, payload.nbytes) \
+        + np.ascontiguousarray(payload).tobytes()
+    got_header, got = decode_message(raw)
+    assert got_header == header
+    assert got.tobytes() == np.ascontiguousarray(payload).tobytes()
+    _, got = decode_message(bytes(raw))
+    assert got.tobytes() == np.ascontiguousarray(payload).tobytes()
+
+
+def test_decode_rejects_a_partial_value():
+    raw = encode_message(MessageHeader(0, 0, 0, 1, 8), np.array([0.5]))[:-1]
+    struct.pack_into("<Q", raw, HEADER_SIZE - 8, 7)
+    with pytest.raises(TransportError, match="not whole f64s"):
+        decode_message(raw)
+
+
 def test_decode_rejects_bad_magic():
     header = MessageHeader(0, 0, 0, 1, 8)
     raw = bytearray(encode_message(header, np.array([0.5])))
