@@ -178,7 +178,8 @@ def cmd_bench(args) -> int:
             grid, updates, seconds = _run_variant(variant, dims, pattern, cfg,
                                                   args.sweeps)
             runs.append((seconds, updates, grid))
-        seconds, updates, grid = sorted(runs)[len(runs) // 2]
+        runs.sort(key=lambda run: run[0])   # by seconds: grids do not order
+        seconds, updates, grid = runs[len(runs) // 2]
         verified = "skipped"
         if not args.no_verify and max(dims.shape) <= 64:
             # Every rep starts from the same pattern, so one check covers all.

@@ -16,46 +16,47 @@ Each thread runs a sweep in one of two loops.  Under the ``c`` backend it
 is one call of the compiled ``sweep_thread`` (:mod:`.kernel`), which holds
 no interpreter lock: it gates, updates and counts every block of the
 thread's sweep in C, on an ``int64`` counter array.  Under ``numpy`` it is
-the Python loop of ``_run_sweep_relaxed`` and ``_run_sweep_barrier``.  The
-two apply the same levels to the same regions through the same
-:func:`_level_views`, so they give the same bits.
+``_run_sweep_py``, the same loop in Python with the same gate: relaxed
+sync is :func:`may_proceed`, and barrier sync waits until every thread's
+step count has reached the step of the block.  The two apply the same
+levels to the same regions through the same :func:`_level_views`, so they
+give the same bits.
 
 Visibility.  In the C loop a thread publishes its count with a release
 store after the block's writes, and a neighbour reads it with an acquire
 load, so every cell the block wrote is visible to a thread that sees the
-new count.  Barrier sync there is a spin barrier on per-thread step
-counts, published and read the same way: thread i starts step s once
-every thread has finished step s-1.  In the Python loop the interpreter
-lock orders them: the block update drops the lock only inside the region
-kernel, the worker holds it for ``counters[i] += 1``, and a reader holds
-it when it reads a counter, so the lock's mutex orders the block's writes
-before any thread that sees the new count.
+new count.  Barrier sync is a spin barrier on per-thread step counts,
+published and read the same way: thread i starts step s once every thread
+has finished step s-1.  In the Python loop the interpreter lock orders
+them: the block update drops the lock only inside the region kernel, the
+thread holds it when it stores its count and step, and a reader holds it
+when it reads them, so the lock's mutex orders the block's writes before
+any thread that sees the new count.
 
-Spinning.  A refused thread checks its gate ``_SPIN_BUDGET`` times, then
-yields (``sched_yield`` in C, ``time.sleep(0)`` in Python) before each
-further check.  ``_SPIN_TIMEOUT`` seconds after its first refusal it gives
-up with :class:`PipelineTimeout` naming the thread and the block.  Every
-check first polls the run's abort flag, an ``int32`` that the C loop reads
-too, so a failure elsewhere frees spinning threads.
+Spinning.  Under either sync mode a refused thread checks its gate
+``_SPIN_BUDGET`` times, then yields (``sched_yield`` in C,
+``time.sleep(0)`` in Python) before each further check.
+``_SPIN_TIMEOUT`` seconds after its first refusal it gives up with
+:class:`PipelineTimeout` naming the thread and the block.  Every check
+first polls the run's abort flag, an ``int32`` that the C loop reads too,
+so a failure elsewhere frees spinning threads.
 
 ``_Runner`` is the one executor of a schedule: :func:`_level_views` maps a
 time level to storage, ``_begin_sweep`` checks every level's domain
 against its views before any thread writes, and ``_end_sweep`` ends a
-sweep.  Between sweeps thread 0 ends one and begins the next between two
-barrier waits; the last sweep is ended by the caller after the join, so a
-one-sweep run waits at no barrier.  With one thread, one team and T levels
-a node sweep is the serial temporally blocked update, so the spatially
-blocked sweep (T=1) and the serial distributed outer step (T=h) are
-one-thread runs of it.  Its threads run as a
-:func:`~stencilpipe.transport.run_group`: a thread that fails aborts the
-others and the run raises :class:`PipelineError` naming that thread.
+sweep.  Each node sweep is one :func:`~stencilpipe.transport.run_group`
+between the two, on the calling thread, which runs thread 0 itself: a
+thread that fails aborts the others and the run raises
+:class:`PipelineError` naming that thread.  With one thread, one team and
+T levels a node sweep is the serial temporally blocked update, so the
+spatially blocked sweep (T=1) and the serial distributed outer step (T=h)
+are one-thread runs of it, which start no thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import itertools
-import threading
 import time
 from array import array
 from dataclasses import dataclass
@@ -336,10 +337,10 @@ def _addresses(arrays) -> list[int]:
 
 class _Runner:
     """The one schedule executor: runs ``sweeps`` node sweeps of ``cfg``,
-    on the calling thread when ``cfg`` has one thread, else on workers.
+    each as one thread group whose thread 0 is the calling thread.
 
     Each thread's sweep is one call of the compiled ``sweep_thread`` when
-    the C backend is loaded, else the Python block loop below.
+    the C backend is loaded, else ``_run_sweep_py``, its Python mirror.
     """
 
     _SPIN_BUDGET = 64        # gate checks before a spinning thread yields
@@ -353,9 +354,12 @@ class _Runner:
         self.trace = trace
         n = cfg.n_threads
         self.counters = (ctypes.c_int64 * n)()
-        # One thread has nothing to wait for or to wake.
-        self.barrier = threading.Barrier(n) if n > 1 else None
         self.stop = ctypes.c_int32()      # abort flag, polled by spins
+        # Per thread: barrier steps done, D_l, D_u, barrier step of block 0.
+        table = self._table = (ctypes.c_int64 * (4 * n))()
+        for i in range(n):
+            table[n + i], table[2 * n + i] = effective_bounds(cfg, i)
+            table[3 * n + i] = _first_step(cfg, i)
 
         if cfg.storage == "twogrid":
             if not isinstance(grid, TwoGrid):
@@ -383,13 +387,8 @@ class _Runner:
 
     def _init_c(self) -> None:
         """The compiled sweep's arguments that hold for the whole run."""
-        cfg, grid = self.cfg, self.grid
+        cfg, grid, table = self.cfg, self.grid, self._table
         n = cfg.n_threads
-        # Per thread: barrier steps done, D_l, D_u, barrier step of block 0.
-        table = self._table = (ctypes.c_int64 * (4 * n))()
-        for i in range(n):
-            table[n + i], table[2 * n + i] = effective_bounds(cfg, i)
-            table[3 * n + i] = _first_step(cfg, i)
         view = grid.current if grid.storage == "twogrid" else grid.data
         a = self._args = kernel.Sweep(
             n_threads=n, barrier=cfg.sync == "barrier",
@@ -407,31 +406,19 @@ class _Runner:
             self._face_table = (ctypes.c_void_p * 6)(*_addresses(self._faces))
             a.faces = ctypes.addressof(self._face_table)
 
-    # -- worker plumbing ---------------------------------------------------
-
     def run(self) -> None:
-        """Every sweep; the caller ends the last one after the join, so a
-        one-sweep run makes no barrier waits."""
-        if self.sweeps < 1:
-            return
-        self._begin_sweep()
-        run_group(self.cfg.n_threads, self._worker, "pipe", self._abort,
-                  PipelineError)
-        _end_sweep(self.grid, self.sched)
+        """Every sweep, each one thread group between its begin and end."""
+        sweep_fn = (self._run_sweep_py if self._sweep_fn is None
+                    else self._run_sweep_c)
+        for sweep in range(self.sweeps):
+            self._begin_sweep()
+            run_group(self.cfg.n_threads,
+                      lambda i: sweep_fn(i, sweep, self.sched), "pipe",
+                      self._abort, PipelineError)
+            _end_sweep(self.grid, self.sched)
 
     def _abort(self) -> None:
         self.stop.value = 1
-        if self.barrier is not None:
-            self.barrier.abort()
-
-    def _sync(self) -> None:
-        """Barrier wait; raises :class:`Aborted` once the run is torn down."""
-        if self.barrier is None:
-            return
-        try:
-            self.barrier.wait()
-        except threading.BrokenBarrierError:
-            raise Aborted from None
 
     def _schedule(self) -> BlockSchedule:
         """Two-grid sweeps run down.  Compressed sweeps move the origin U
@@ -455,9 +442,9 @@ class _Runner:
             if all(h > l for l, h in zip(lo, hi)):
                 _check_region(src, dst, g, lo, hi)
         ctypes.memset(self.counters, 0, ctypes.sizeof(self.counters))
+        ctypes.memset(self._table, 0, 8 * self.cfg.n_threads)   # steps done
         if self._sweep_fn is None:
             return
-        ctypes.memset(self._table, 0, 8 * self.cfg.n_threads)   # steps done
         # Every level's source base, then every level's destination base.
         U = sched.n_levels
         self._views = (ctypes.c_void_p * (2 * U))(
@@ -470,41 +457,22 @@ class _Runner:
         a.src = ctypes.addressof(self._views)
         a.dst = a.src + 8 * U
 
-    def _worker(self, i: int) -> None:
-        for sweep in range(self.sweeps):
-            if sweep:
-                # Thread 0 ends the last sweep and begins this one between
-                # the two barriers, so every thread runs the same schedule.
-                self._sync()
-                if i == 0:
-                    _end_sweep(self.grid, self.sched)
-                    self._begin_sweep()
-                self._sync()
-            self._run_sweep(i, sweep, self.sched)
-
     # -- per-sweep work ----------------------------------------------------
 
     def _levels(self, i: int):
         T = self.cfg.updates_per_thread
         return range(i * T + 1, (i + 1) * T + 1)
 
-    def _record(self, sweep: int, i: int, ordinal: int) -> None:
-        if self.trace is None:
-            return
-        c = self.counters[:]
-        self.trace.append(TraceEvent(
-            sweep=sweep, thread=i, block=ordinal,
-            c_prev=c[i - 1] if i > 0 else -1,
-            c_self=c[i],
-            c_next=c[i + 1] if i < len(c) - 1 else -1))
+    def _stalled(self, i: int, b: int) -> PipelineTimeout:
+        return PipelineTimeout(f"thread {i} stalled at block {b} "
+                               f"(counters {self.counters[:]})")
 
-    def _run_sweep(self, i: int, sweep: int, sched: BlockSchedule) -> None:
-        if self._sweep_fn is not None:
-            self._run_sweep_c(i, sweep, sched)
-        elif self.cfg.sync == "barrier":
-            self._run_sweep_barrier(i, sweep, sched)
-        else:
-            self._run_sweep_relaxed(i, sweep, sched)
+    def _trace_sweep(self, sweep: int, i: int, record) -> None:
+        """Thread i's events from ``record``: per block, the (c_prev,
+        c_self, c_next) its gate passed on, end to end."""
+        snaps = iter(record)
+        self.trace.extend(TraceEvent(sweep, i, b, *snap) for b, snap
+                          in enumerate(zip(snaps, snaps, snaps)))
 
     def _run_sweep_c(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         """Thread i's sweep as one compiled call, which holds no GIL."""
@@ -516,32 +484,36 @@ class _Runner:
         if status == kernel.SWEEP_ABORTED:
             raise Aborted
         if status == kernel.SWEEP_TIMEOUT:
-            raise PipelineTimeout(f"thread {i} stalled at block {where.value} "
-                                  f"(counters {self.counters[:]})")
+            raise self._stalled(i, where.value)
         if record is not None:
-            snaps = iter(record)
-            self.trace.extend(TraceEvent(sweep, i, b, *snap) for b, snap
-                              in enumerate(zip(snaps, snaps, snaps)))
+            self._trace_sweep(sweep, i, record)
 
-    def _run_sweep_barrier(self, i: int, sweep: int, sched: BlockSchedule) -> None:
-        cfg = self.cfg
-        levels = self._levels(i)
-        offset = _first_step(cfg, i)
-        last = _first_step(cfg, cfg.n_threads - 1)
-        for step in range(sched.n_blocks + last):
-            b = step - offset
-            if 0 <= b < sched.n_blocks:
-                self._record(sweep, i, b)
-                _apply_levels(self.grid, sched, sched.order[b], levels)
-                self.counters[i] += 1
-            self._sync()
+    def _gate(self, i: int, b: int, step: int, n_blocks: int):
+        """The compiled ``gate``, in Python: the (c_prev, c_self, c_next)
+        on which thread i may start block b, its barrier step being
+        ``step``, with -1 for a missing neighbour; None while it must
+        wait."""
+        c, n = self.counters, self.cfg.n_threads
+        if self.cfg.sync == "barrier":
+            if min(self._table[:n]) < step:
+                return None
+        elif not may_proceed(c, i, self.cfg, n_blocks):
+            return None
+        return c[i - 1] if i > 0 else -1, b, c[i + 1] if i < n - 1 else -1
 
-    def _run_sweep_relaxed(self, i: int, sweep: int, sched: BlockSchedule) -> None:
-        cfg = self.cfg
+    def _run_sweep_py(self, i: int, sweep: int, sched: BlockSchedule) -> None:
+        """Thread i's sweep in Python, block for block as ``sweep_thread``:
+        gate, levels, then its count and its barrier step."""
+        n, n_blocks = self.cfg.n_threads, sched.n_blocks
+        steps = self._table
+        first = steps[3 * n + i]
+        end = steps[4 * n - 1] + n_blocks
         levels = self._levels(i)
-        for b in range(sched.n_blocks):
+        record = None if self.trace is None else []
+        steps[i] = first                  # its earlier steps are idle
+        for b in range(n_blocks):
             spins = 0
-            while not may_proceed(self.counters, i, cfg, sched.n_blocks):
+            while (snap := self._gate(i, b, first + b, n_blocks)) is None:
                 if self.stop.value:
                     raise Aborted
                 if spins == 0:
@@ -550,12 +522,14 @@ class _Runner:
                 if spins > self._SPIN_BUDGET:
                     time.sleep(0)
                     if time.monotonic() > deadline:
-                        raise PipelineTimeout(
-                            f"thread {i} stalled at block {b} "
-                            f"(counters {self.counters[:]})")
-            self._record(sweep, i, b)
+                        raise self._stalled(i, b)
+            if record is not None:
+                record += snap
             _apply_levels(self.grid, sched, sched.order[b], levels)
-            self.counters[i] += 1
+            self.counters[i] = b + 1
+            steps[i] = first + b + 1 if b + 1 < n_blocks else end
+        if record is not None:
+            self._trace_sweep(sweep, i, record)
 
 
 def run_node_sweeps(grid, cfg: PipelineConfig, sweeps: int,

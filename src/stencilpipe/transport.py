@@ -44,10 +44,11 @@ class Aborted(Exception):
 def run_group(n: int, member, label: str, abort, error) -> list:
     """Run ``member(i)`` for every ``i < n``; returns the results in order.
 
-    One member runs on the calling thread, more run on daemon threads
-    named ``f"{label}-{i}"``.  The first failure calls ``abort()``, which
-    must make every blocked member raise :class:`Aborted`; such members are
-    not reported.  The lowest-index member that failed on its own raises
+    Member 0 runs on the calling thread and members 1 .. n-1 on daemon
+    threads named ``f"{label}-{i}"``, started before it and joined after
+    it.  The first failure calls ``abort()``, which must make every
+    blocked member raise :class:`Aborted`; such members are not reported.
+    The lowest-index member that failed on its own raises
     ``error("<label> <i> failed: <exc>")`` chained to its exception, which
     passes through unchanged when it already is an ``error`` (or is not an
     ``Exception``, such as ``KeyboardInterrupt``).
@@ -64,16 +65,14 @@ def run_group(n: int, member, label: str, abort, error) -> list:
             failures[i] = exc
             abort()
 
-    if n == 1:
-        run(0)
-    else:
-        threads = [threading.Thread(target=run, args=(i,),
-                                    name=f"{label}-{i}", daemon=True)
-                   for i in range(n)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+    threads = [threading.Thread(target=run, args=(i,),
+                                name=f"{label}-{i}", daemon=True)
+               for i in range(1, n)]
+    for th in threads:
+        th.start()
+    run(0)
+    for th in threads:
+        th.join()
     if failures:
         i = min(failures)
         exc = failures[i]

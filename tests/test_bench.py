@@ -1,7 +1,10 @@
+import itertools
 import json
+import types
 
 import pytest
 
+from stencilpipe import bench
 from stencilpipe.bench import (COLUMNS, BenchResult, cli_main, report)
 from stencilpipe.grid import GridDims
 from stencilpipe.pipeline import PipelineConfig
@@ -122,3 +125,18 @@ def test_cli_dist(capsys):
 def test_cli_rejects_bad_triple():
     with pytest.raises(SystemExit):
         cli_main(["bench", "--dims", "12x12"])
+
+
+def test_cli_bench_median_of_equal_times(monkeypatch, capsys):
+    # A clock that ticks once per reading gives every rep the same
+    # seconds, so picking the median must not compare the reps' grids.
+    ticks = itertools.count()
+    monkeypatch.setattr(bench, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    rc = cli_main(["bench", "--size", "8", "--variant", "naive",
+                   "--reps", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    row = dict(zip(COLUMNS, out.strip().split("\n")[1].split(",")))
+    assert float(row["seconds"]) == 1.0
+    assert row["verified"] == "yes"

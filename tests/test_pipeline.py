@@ -12,7 +12,8 @@ from stencilpipe.decomp import decompose, level_domains_for_rank
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   PipelineError, PipelineTimeout,
-                                  ScheduleError, audit_trace, build_schedule,
+                                  ScheduleError, _first_step, audit_trace,
+                                  build_schedule,
                                   default_block_size, effective_bounds,
                                   instrumented_run, may_proceed,
                                   run_node_sweeps, trace_csv)
@@ -472,6 +473,17 @@ def test_random_pipelines_audit_clean_and_bitwise(data, backends):
         trace = instrumented_run(g, cfg, 2)
         assert len(trace) == 2 * cfg.n_threads * n_blocks, backend
         assert audit_trace(trace, cfg, n_blocks=n_blocks) == [], backend
+        if sync == "barrier":
+            # Lockstep: thread i's block b is barrier step first_i + b.  It
+            # starts once every thread has finished the step before, so its
+            # predecessor has done b + lead blocks, and the predecessor can
+            # then start at most the step after it.
+            for ev in trace:
+                if ev.thread > 0:
+                    lead = (_first_step(cfg, ev.thread)
+                            - _first_step(cfg, ev.thread - 1))
+                    assert (min(n_blocks, ev.block + lead) <= ev.c_prev
+                            <= min(n_blocks, ev.block + lead + 1)), (backend, ev)
         assert compare(ref, g).bitwise, backend
 
 

@@ -1,12 +1,14 @@
 import struct
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from stencilpipe.transport import (HEADER_SIZE, MAGIC, MessageHeader,
-                                   TransportError, decode_message,
-                                   encode_message, spawn_world)
+from stencilpipe.transport import (HEADER_SIZE, MAGIC, Aborted,
+                                   MessageHeader, TransportError,
+                                   decode_message, encode_message, run_group,
+                                   spawn_world)
 
 
 def test_header_layout():
@@ -111,6 +113,43 @@ def test_no_self_channel():
 
     with pytest.raises(TransportError, match="no channel 0 -> 0"):
         spawn_world(2, program)
+
+
+def test_run_group_runs_member_0_on_the_caller():
+    # Member 2 finishes first and member 0 last, so the results are in
+    # member order, not in the order the members finished.
+    def member(i):
+        time.sleep(0.01 * (2 - i))
+        return i, threading.current_thread()
+
+    results = run_group(3, member, "grp", lambda: None, RuntimeError)
+    assert [i for i, _ in results] == [0, 1, 2]
+    assert results[0][1] is threading.current_thread()
+    assert [th.name for _, th in results[1:]] == ["grp-1", "grp-2"]
+
+
+def test_run_group_member_0_failure_aborts_the_others(run_bounded):
+    # Members 1 and 2 wait until the abort; member 0, on the caller,
+    # fails once both are waiting, and only its failure is reported.
+    stop = threading.Event()
+    waiting = []
+    boom = ValueError("boom in member 0")
+
+    def member(i):
+        if i == 0:
+            while len(waiting) < 2:
+                time.sleep(0.001)
+            raise boom
+        waiting.append(i)
+        if not stop.wait(timeout=5.0):
+            return "not aborted"
+        raise Aborted
+
+    err = run_bounded(lambda: run_group(3, member, "pipe", stop.set,
+                                        RuntimeError))
+    assert type(err) is RuntimeError
+    assert str(err) == "pipe 0 failed: ValueError('boom in member 0')"
+    assert err.__cause__ is boom
 
 
 def test_spawn_world_single_rank():
