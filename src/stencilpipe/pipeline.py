@@ -25,7 +25,7 @@ give the same bits.
 Visibility.  In the C loop a thread publishes its count with a release
 store after the block's writes, and a neighbour reads it with an acquire
 load, so every cell the block wrote is visible to a thread that sees the
-new count.  Barrier sync is a spin barrier on per-thread step counts,
+new count.  Under barrier sync threads spin on per-thread step counts,
 published and read the same way: thread i starts step s once every thread
 has finished step s-1.  In the Python loop the interpreter lock orders
 them: the block update drops the lock only inside the region kernel, the
@@ -95,10 +95,10 @@ class PipelineConfig:
     between teams (:func:`effective_bounds`).  ``sync`` is ``"relaxed"``,
     where each thread gates on its neighbors' counters by the rule of
     :func:`may_proceed`, or ``"barrier"``, where all threads meet at one
-    barrier after each block step.  Barrier lockstep keeps each thread
-    exactly one block behind its predecessor, plus the team delay at a
-    team's front, so ``min_dist`` and ``max_dist`` act only under relaxed
-    sync.  ``block`` is (bx, by, bz), or None for the whole domain;
+    barrier after each block step.  Lockstep under barrier sync keeps each
+    thread exactly one block behind its predecessor, plus the team delay
+    at a team's front, so ``min_dist`` and ``max_dist`` act only under
+    relaxed sync.  ``block`` is (bx, by, bz), or None for the whole domain;
     ``storage`` is ``"twogrid"`` or ``"compressed"``.
     """
 

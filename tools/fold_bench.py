@@ -30,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "perfbench" / "out"
 WORKLOADS = ("cache-resident", "memory-bound", "halo-bound")
-FIELDS = ("unit", "n", "median", "q1", "q3")    # kept of each metric
+FIELDS = ("unit", "n", "median", "q1", "q3")    # kept per metric
 _BUILD = ("import json; from stencilpipe import kernel; "
           "print(json.dumps([kernel.BACKEND, kernel._CFLAGS]))")
 
