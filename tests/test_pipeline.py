@@ -13,10 +13,9 @@ from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   PipelineError, PipelineTimeout,
                                   ScheduleError, _first_step, audit_trace,
-                                  build_schedule,
-                                  default_block_size, effective_bounds,
-                                  instrumented_run, may_proceed,
-                                  run_node_sweeps, trace_csv)
+                                  build_schedule, default_block_size,
+                                  effective_bounds, instrumented_run,
+                                  may_proceed, run_node_sweeps, trace_csv)
 from stencilpipe.transport import Aborted
 from stencilpipe.verify import compare, oracle
 
