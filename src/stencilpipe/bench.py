@@ -3,8 +3,8 @@
 Subcommands: ``bench`` (time a solver variant), ``verify`` (oracle
 equivalence for one configuration), ``model`` (emit model CSVs), and
 ``dist`` (loopback multi-rank run).  Exit code 0 means every requested
-verification passed; 1 means a verification failed; argparse reports
-usage errors with 2.
+verification passed; 1 means a verification failed; usage errors, input
+the package rejects included, exit with 2.
 """
 
 from __future__ import annotations
@@ -172,14 +172,10 @@ def cmd_bench(args) -> int:
     cfg = _config(args, dims)
     results = []
     for variant in args.variant:
-        runs = []
-        grid = None
-        for _ in range(args.reps):
-            grid, updates, seconds = _run_variant(variant, dims, pattern, cfg,
-                                                  args.sweeps)
-            runs.append((seconds, updates, grid))
-        runs.sort(key=lambda run: run[0])   # by seconds: grids do not order
-        seconds, updates, grid = runs[len(runs) // 2]
+        # By seconds alone, since grids do not order.
+        runs = sorted((_run_variant(variant, dims, pattern, cfg, args.sweeps)
+                       for _ in range(args.reps)), key=lambda run: run[2])
+        grid, updates, seconds = runs[len(runs) // 2]
         verified = "skipped"
         if not args.no_verify and max(dims.shape) <= 64:
             # Every rep starts from the same pattern, so one check covers all.
@@ -211,23 +207,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_model(args) -> int:
-    out = sys.stdout
+    out = []   # written once every row is computed
     if args.speedup:
         machine = MachineParams()
-        out.write("t,T,speedup\n")
+        out.append("t,T,speedup\n")
         for t in args.t:
             for T in args.T:
-                out.write(f"{t},{T},{pipelined_speedup(machine, t, T):.12g}\n")
+                out.append(f"{t},{T},{pipelined_speedup(machine, t, T):.12g}\n")
     if args.multihalo:
         net = NetworkParams()
-        out.write("L,h,bulk_s,face_s,comm_s,ratio,efficiency\n")
+        out.append("L,h,bulk_s,face_s,comm_s,ratio,efficiency\n")
         for L in args.L:
             for h in args.h:
                 cost = multihalo_time(L, h, net)
-                out.write(f"{L},{h},{cost.bulk_s:.12g},{cost.face_s:.12g},"
-                          f"{cost.comm_s:.12g},"
-                          f"{multihalo_ratio(L, h, net):.12g},"
-                          f"{efficiency(L, h, net):.12g}\n")
+                out.append(f"{L},{h},{cost.bulk_s:.12g},{cost.face_s:.12g},"
+                           f"{cost.comm_s:.12g},"
+                           f"{multihalo_ratio(L, h, net):.12g},"
+                           f"{efficiency(L, h, net):.12g}\n")
+    sys.stdout.write("".join(out))
     return 0
 
 
@@ -259,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="skip the oracle check (use for large grids)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--dump", default=None, help="write the final field here")
+    p.add_argument("--dump", default=None,
+                   help="write the final field here (one --variant only)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="oracle equivalence for one configuration")
@@ -288,10 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "variant", "sentinel") is None:
         args.variant = ["naive"]
-    return args.func(args)
+    if getattr(args, "dump", None) and len(args.variant) > 1:
+        parser.error("--dump writes one field; give one --variant")
+    if getattr(args, "reps", 1) < 1:
+        parser.error("--reps must be >= 1")
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # Every input error the package raises; a failed thread or rank
+        # raises PipelineError or TransportError, RuntimeErrors.
+        parser.error(str(exc))
 
 
 def main() -> None:

@@ -207,8 +207,7 @@ def run_distributed(global_dims: GridDims, pattern: FillPattern,
     """
     h = cfg.levels_per_sweep
     _check_config(cfg, h)
-    px, py, pz = layout
-    decomp = decompose(global_dims, px * py * pz, layout, h)
+    decomp = Decomposition(global_dims, layout, h)
     gathered = np.empty(global_dims.shape, dtype=np.float64)
 
     def program(rank: int, endpoint: Endpoint) -> np.ndarray:

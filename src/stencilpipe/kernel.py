@@ -15,13 +15,13 @@ The library exports three functions.  Two sit around one ``static``
 region body, ``region``, which holds the only C stencil loop.
 ``update_region`` calls it once.  ``sweep_thread`` runs one pipeline
 thread's whole node sweep: it walks the thread's blocks in the schedule's
-order, gates each on the neighbours' counters (or the barrier's step
-counts), restores a compressed level's ghost faces, calls ``region`` for
-each of the thread's levels and publishes its count; see :mod:`.pipeline`
-for the rules and :class:`Sweep` for its arguments.  ``fill_random``
-writes the ``random`` fill pattern's hash into a strided view for any
-logical box; ``FillPattern.fill`` calls it, while ``FillPattern.evaluate``
-stays the numpy definition of the pattern.
+order, gates each on the neighbours' counters (every thread's under
+barrier sync), restores a compressed level's ghost faces, calls ``region``
+for each of the thread's levels and publishes its count; see
+:mod:`.pipeline` for the rules and :class:`Sweep` for its arguments.
+``fill_random`` writes the ``random`` fill pattern's hash into a strided
+view for any logical box; ``FillPattern.fill`` calls it, while
+``FillPattern.evaluate`` stays the numpy definition of the pattern.
 
 A compressed level passes two overlapping views of one array.  The C loop
 follows the ``memmove`` rule: it runs forward when ``dst <= src`` and in
@@ -106,8 +106,7 @@ struct sweep {
     const double *const *faces;  /* z low, z high, y low, ..., or NULL */
     const int64_t *d_l, *d_u;    /* per thread, from effective_bounds */
     const int64_t *first_step;   /* per thread: barrier step of block 0 */
-    int64_t *counters;           /* per thread: blocks done */
-    int64_t *steps;              /* per thread: barrier steps done */
+    int64_t *counters;           /* per thread: blocks done, both sync modes */
     const int32_t *abort;
     int64_t spin_budget;
     double timeout;              /* seconds */
@@ -187,19 +186,22 @@ static void apply_levels(const struct sweep *s, int64_t i, const int64_t *blk)
 /* Whether thread i may start block b, its barrier step being step.  On
    success snap holds (c_prev, c_self, c_next), -1 for a missing
    neighbour.  Relaxed sync is pipeline.may_proceed with its end-of-sweep
-   saturation; barrier sync waits until every thread has finished step - 1. */
+   saturation.  Barrier sync waits until every thread j has finished step - 1:
+   its sweep, or the steps below first_step[j] + its count. */
 static int gate(const struct sweep *s, int64_t i, int64_t b, int64_t step,
                 int64_t *snap)
 {
     const int64_t last = s->n_threads - 1;
+    snap[0] = snap[2] = -1;
     if (s->barrier) {
-        for (int64_t j = 0; j <= last; j++)
-            if (acquire(&s->steps[j]) < step)
+        for (int64_t j = 0; j <= last; j++) {
+            const int64_t c = acquire(&s->counters[j]);
+            if (c < s->n_blocks && s->first_step[j] + c < step)
                 return 0;
-        snap[0] = i > 0 ? acquire(&s->counters[i - 1]) : -1;
-        snap[2] = i < last ? acquire(&s->counters[i + 1]) : -1;
+            if (j == i - 1 || j == i + 1)
+                snap[j - i + 1] = c;
+        }
     } else {
-        snap[0] = snap[2] = -1;
         if (i > 0) {
             snap[0] = acquire(&s->counters[i - 1]);
             if (snap[0] < s->n_blocks && snap[0] - b < s->d_l[i])
@@ -244,9 +246,6 @@ int64_t sweep_thread(const struct sweep *s, int64_t i, int64_t *record,
                      int64_t *where)
 {
     const int64_t first = s->first_step[i];
-    const int64_t end = s->first_step[s->n_threads - 1] + s->n_blocks;
-    if (s->barrier)
-        release(&s->steps[i], first);   /* its earlier steps are idle */
     for (int64_t b = 0; b < s->n_blocks; b++) {
         int64_t snap[3];
         int status = wait_gate(s, i, b, first + b, snap);
@@ -259,8 +258,6 @@ int64_t sweep_thread(const struct sweep *s, int64_t i, int64_t *record,
                 record[3 * b + k] = snap[k];
         apply_levels(s, i, s->order + 3 * b);
         release(&s->counters[i], b + 1);
-        if (s->barrier)
-            release(&s->steps[i], b + 1 < s->n_blocks ? first + b + 1 : end);
     }
     return SWEEP_DONE;
 }
@@ -346,7 +343,7 @@ class Sweep(ctypes.Structure):
                 + [("n", ctypes.c_int64 * 3)]
                 + [(f, ctypes.c_void_p) for f in
                    ("order", "cuts", "chain", "src", "dst", "faces", "d_l",
-                    "d_u", "first_step", "counters", "steps", "abort")]
+                    "d_u", "first_step", "counters", "abort")]
                 + [("spin_budget", ctypes.c_int64),
                    ("timeout", ctypes.c_double)])
 

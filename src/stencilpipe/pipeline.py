@@ -17,21 +17,21 @@ is one call of the compiled ``sweep_thread`` (:mod:`.kernel`), which holds
 no interpreter lock: it gates, updates and counts every block of the
 thread's sweep in C, on an ``int64`` counter array.  Under ``numpy`` it is
 ``_run_sweep_py``, the same loop in Python with the same gate: relaxed
-sync is :func:`may_proceed`, and barrier sync waits until every thread's
-step count has reached the step of the block.  The two apply the same
+sync is :func:`may_proceed`, and barrier sync waits until every thread has
+finished the barrier step before the block's.  The two apply the same
 levels to the same regions through the same :func:`_level_views`, so they
 give the same bits.
 
 Visibility.  In the C loop a thread publishes its count with a release
 store after the block's writes, and a neighbour reads it with an acquire
 load, so every cell the block wrote is visible to a thread that sees the
-new count.  Under barrier sync threads spin on per-thread step counts,
-published and read the same way: thread i starts step s once every thread
-has finished step s-1.  In the Python loop the interpreter lock orders
-them: the block update drops the lock only inside the region kernel, the
-thread holds it when it stores its count and step, and a reader holds it
-when it reads them, so the lock's mutex orders the block's writes before
-any thread that sees the new count.
+new count.  Barrier sync reads the same counters: thread i's block b is
+barrier step f_i + b (:func:`_first_step`), and it starts once every thread
+j has finished its sweep or has f_j + c[j] >= f_i + b.  In the Python loop
+the interpreter lock orders them: the block update drops the lock only
+inside the region kernel, the thread holds it when it stores its count,
+and a reader holds it when it reads it, so the lock's mutex orders the
+block's writes before any thread that sees the new count.
 
 Spinning.  Under either sync mode a refused thread checks its gate
 ``_SPIN_BUDGET`` times, then yields (``sched_yield`` in C,
@@ -337,11 +337,7 @@ def _addresses(arrays) -> list[int]:
 
 class _Runner:
     """The one schedule executor: runs ``sweeps`` node sweeps of ``cfg``,
-    each as one thread group whose thread 0 is the calling thread.
-
-    Each thread's sweep is one call of the compiled ``sweep_thread`` when
-    the C backend is loaded, else ``_run_sweep_py``, its Python mirror.
-    """
+    each as one thread group whose thread 0 is the calling thread."""
 
     _SPIN_BUDGET = 64        # gate checks before a spinning thread yields
     _SPIN_TIMEOUT = 30.0     # seconds a refused thread may spin
@@ -355,11 +351,11 @@ class _Runner:
         n = cfg.n_threads
         self.counters = (ctypes.c_int64 * n)()
         self.stop = ctypes.c_int32()      # abort flag, polled by spins
-        # Per thread: barrier steps done, D_l, D_u, barrier step of block 0.
-        table = self._table = (ctypes.c_int64 * (4 * n))()
+        # Run constants per thread: D_l, D_u, barrier step of block 0.
+        table = self._table = (ctypes.c_int64 * (3 * n))()
         for i in range(n):
-            table[n + i], table[2 * n + i] = effective_bounds(cfg, i)
-            table[3 * n + i] = _first_step(cfg, i)
+            table[i], table[n + i] = effective_bounds(cfg, i)
+            table[2 * n + i] = _first_step(cfg, i)
 
         if cfg.storage == "twogrid":
             if not isinstance(grid, TwoGrid):
@@ -398,8 +394,8 @@ class _Runner:
             counters=ctypes.addressof(self.counters),
             abort=ctypes.addressof(self.stop),
             spin_budget=self._SPIN_BUDGET, timeout=self._SPIN_TIMEOUT)
-        a.steps, a.d_l, a.d_u, a.first_step = range(
-            ctypes.addressof(table), ctypes.addressof(table) + 32 * n, 8 * n)
+        a.d_l, a.d_u, a.first_step = range(
+            ctypes.addressof(table), ctypes.addressof(table) + 24 * n, 8 * n)
         if grid.storage == "compressed":
             self._faces = [np.ascontiguousarray(f)
                            for pair in grid.faces for f in pair]
@@ -442,7 +438,6 @@ class _Runner:
             if all(h > l for l, h in zip(lo, hi)):
                 _check_region(src, dst, g, lo, hi)
         ctypes.memset(self.counters, 0, ctypes.sizeof(self.counters))
-        ctypes.memset(self._table, 0, 8 * self.cfg.n_threads)   # steps done
         if self._sweep_fn is None:
             return
         # Every level's source base, then every level's destination base.
@@ -495,7 +490,8 @@ class _Runner:
         wait."""
         c, n = self.counters, self.cfg.n_threads
         if self.cfg.sync == "barrier":
-            if min(self._table[:n]) < step:
+            if any(cj < n_blocks and first + cj < step
+                   for cj, first in zip(c, self._table[2 * n:])):
                 return None
         elif not may_proceed(c, i, self.cfg, n_blocks):
             return None
@@ -503,14 +499,11 @@ class _Runner:
 
     def _run_sweep_py(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         """Thread i's sweep in Python, block for block as ``sweep_thread``:
-        gate, levels, then its count and its barrier step."""
-        n, n_blocks = self.cfg.n_threads, sched.n_blocks
-        steps = self._table
-        first = steps[3 * n + i]
-        end = steps[4 * n - 1] + n_blocks
+        gate, levels, then its count."""
+        n_blocks = sched.n_blocks
+        first = self._table[2 * self.cfg.n_threads + i]
         levels = self._levels(i)
         record = None if self.trace is None else []
-        steps[i] = first                  # its earlier steps are idle
         for b in range(n_blocks):
             spins = 0
             while (snap := self._gate(i, b, first + b, n_blocks)) is None:
@@ -527,7 +520,6 @@ class _Runner:
                 record += snap
             _apply_levels(self.grid, sched, sched.order[b], levels)
             self.counters[i] = b + 1
-            steps[i] = first + b + 1 if b + 1 < n_blocks else end
         if record is not None:
             self._trace_sweep(sweep, i, record)
 

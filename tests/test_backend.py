@@ -1,7 +1,9 @@
 """Loading the compiled kernel: its region, sweep and fill functions load
 wherever ``gcc`` runs, and every way of failing to build or load it leaves
-the numpy body, the Python block loop and the numpy fill in place."""
+the numpy body, the Python block loop and the numpy fill in place.  The
+ctypes mirror ``kernel.Sweep`` has the C ``struct sweep``'s layout."""
 
+import ctypes
 import hashlib
 import os
 import shutil
@@ -126,3 +128,28 @@ def test_concurrent_first_loads_leave_one_library(tmp_path):
     assert _backends_of(_importer(tmp_path), _importer(tmp_path)) == ["c", "c"]
     files = [p.name for p in (tmp_path / "stencilpipe").iterdir()]
     assert len(files) == 1 and files[0].endswith(".so"), files
+
+
+@needs_gcc
+def test_sweep_mirrors_the_c_struct(tmp_path):
+    # ctypes lays kernel.Sweep out from its own field list, so a field
+    # missing or moved on one side shifts the others and the compiled
+    # sweep reads the wrong memory without any error.  The driver includes
+    # the shipped source unchanged and prints the C layout of the fields
+    # the mirror names.
+    names = [name for name, _ in kernel.Sweep._fields_]
+    driver = "\n".join(
+        [kernel._SOURCE, "#include <stdio.h>", "int main(void)", "{",
+         '    printf("%zu\\n", sizeof(struct sweep));',
+         *(f'    printf("%zu\\n", offsetof(struct sweep, {name}));'
+           for name in names),
+         "    return 0;", "}"])
+    exe = tmp_path / "layout"
+    built = subprocess.run(["gcc", "-x", "c", "-", "-o", str(exe)],
+                           input=driver, text=True, capture_output=True,
+                           timeout=60)
+    assert built.returncode == 0, built.stderr
+    out = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60, check=True).stdout.split()
+    assert [int(v) for v in out] == [ctypes.sizeof(kernel.Sweep)] + [
+        getattr(kernel.Sweep, name).offset for name in names]

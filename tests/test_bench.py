@@ -7,7 +7,7 @@ import pytest
 from stencilpipe import bench
 from stencilpipe.bench import (COLUMNS, BenchResult, cli_main, report)
 from stencilpipe.grid import GridDims
-from stencilpipe.pipeline import PipelineConfig
+from stencilpipe.pipeline import PipelineConfig, PipelineError
 
 
 def _result(**kw):
@@ -125,6 +125,38 @@ def test_cli_dist(capsys):
 def test_cli_rejects_bad_triple():
     with pytest.raises(SystemExit):
         cli_main(["bench", "--dims", "12x12"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--size", "12", "--storage", "compressed"],
+    ["verify", "--size", "8", "--dl", "0"],
+    ["bench", "--size", "8", "--block", "9x8x8", "--variant", "blocked"],
+    ["model", "--speedup", "--t", "0"],
+    ["bench", "--size", "8", "--reps", "0"],
+    ["bench", "--size", "8", "--variant", "naive", "--variant", "blocked",
+     "--dump", "field.txt"],
+], ids=["dist-compressed", "dl-0", "block-too-big", "model-t-0", "reps-0",
+        "dump-two-variants"])
+def test_cli_input_error_is_a_usage_error(argv, monkeypatch, tmp_path,
+                                          capsys):
+    # Exit 2 with a message and no output, never a traceback or exit 1,
+    # which means a failed verification.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == "" and "error:" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_thread_failure_keeps_its_traceback(monkeypatch):
+    def fail(*args, **kwargs):
+        raise PipelineError("pipe 1 failed: ValueError()")
+
+    monkeypatch.setattr(bench, "run_node_sweeps", fail)
+    with pytest.raises(PipelineError):
+        cli_main(["verify", "--size", "8"])
 
 
 def test_cli_bench_median_of_equal_times(monkeypatch, capsys):
