@@ -172,10 +172,13 @@ def cmd_bench(args) -> int:
     cfg = _config(args, dims)
     results = []
     for variant in args.variant:
-        # By seconds alone, since grids do not order.
-        runs = sorted((_run_variant(variant, dims, pattern, cfg, args.sweeps)
-                       for _ in range(args.reps)), key=lambda run: run[2])
-        grid, updates, seconds = runs[len(runs) // 2]
+        runs = []
+        for _ in range(args.reps):
+            grid, updates, seconds = _run_variant(variant, dims, pattern, cfg,
+                                                  args.sweeps)
+            runs.append((seconds, updates, grid))
+        runs.sort(key=lambda run: run[0])   # by seconds: grids do not order
+        seconds, updates, grid = runs[len(runs) // 2]
         verified = "skipped"
         if not args.no_verify and max(dims.shape) <= 64:
             # Every rep starts from the same pattern, so one check covers all.
@@ -292,13 +295,13 @@ def cli_main(argv=None) -> int:
         args.variant = ["naive"]
     if getattr(args, "dump", None) and len(args.variant) > 1:
         parser.error("--dump writes one field; give one --variant")
-    if getattr(args, "reps", 1) < 1:
-        parser.error("--reps must be >= 1")
+    for count in ("reps", "sweeps", "outer_steps"):
+        if getattr(args, count, 1) < 1:
+            parser.error(f"--{count.replace('_', '-')} must be >= 1")
     try:
         return args.func(args)
     except ValueError as exc:
-        # Every input error the package raises; a failed thread or rank
-        # raises PipelineError or TransportError, RuntimeErrors.
+        # Input errors; a failed thread or rank raises a RuntimeError instead.
         parser.error(str(exc))
 
 

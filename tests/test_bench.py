@@ -133,10 +133,12 @@ def test_cli_rejects_bad_triple():
     ["bench", "--size", "8", "--block", "9x8x8", "--variant", "blocked"],
     ["model", "--speedup", "--t", "0"],
     ["bench", "--size", "8", "--reps", "0"],
+    ["bench", "--size", "8", "--sweeps", "-1"],
+    ["dist", "--size", "12", "--team-size", "1", "--outer-steps", "0"],
     ["bench", "--size", "8", "--variant", "naive", "--variant", "blocked",
      "--dump", "field.txt"],
 ], ids=["dist-compressed", "dl-0", "block-too-big", "model-t-0", "reps-0",
-        "dump-two-variants"])
+        "sweeps-negative", "outer-steps-0", "dump-two-variants"])
 def test_cli_input_error_is_a_usage_error(argv, monkeypatch, tmp_path,
                                           capsys):
     # Exit 2 with a message and no output, never a traceback or exit 1,
