@@ -172,16 +172,17 @@ def cmd_bench(args) -> int:
     cfg = _config(args, dims)
     results = []
     for variant in args.variant:
-        runs = []
+        times = []
         for _ in range(args.reps):
+            # Every rep computes the same field, so only the last is kept,
+            # and it goes before the next rep allocates.
+            grid = None
             grid, updates, seconds = _run_variant(variant, dims, pattern, cfg,
                                                   args.sweeps)
-            runs.append((seconds, updates, grid))
-        runs.sort(key=lambda run: run[0])   # by seconds: grids do not order
-        seconds, updates, grid = runs[len(runs) // 2]
+            times.append(seconds)
+        seconds = sorted(times)[len(times) // 2]
         verified = "skipped"
         if not args.no_verify and max(dims.shape) <= 64:
-            # Every rep starts from the same pattern, so one check covers all.
             levels = _verify_levels(variant, cfg, args.sweeps)
             ref = oracle(dims, pattern, levels)
             verified = "yes" if compare(ref, grid).passed else "no"

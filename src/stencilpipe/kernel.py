@@ -15,10 +15,10 @@ The library exports three functions.  Two sit around one ``static``
 region body, ``region``, which holds the only C stencil loop.
 ``update_region`` calls it once.  ``sweep_thread`` runs one pipeline
 thread's whole node sweep: it walks the thread's blocks in the schedule's
-order, gates each on the neighbours' counters (every thread's under
-barrier sync), restores a compressed level's ghost faces, calls ``region``
-for each of the thread's levels and publishes its count; see
-:mod:`.pipeline` for the rules and :class:`Sweep` for its arguments.
+order, gates each on the counters of the threads its rules name, restores
+a compressed level's ghost faces, calls ``region`` for each of the
+thread's levels and publishes its count; see :mod:`.pipeline` for the
+rules and :class:`Sweep` for its arguments.
 ``fill_random`` writes the ``random`` fill pattern's hash into a strided
 view for any logical box; ``FillPattern.fill`` calls it, while
 ``FillPattern.evaluate`` stays the numpy definition of the pattern.
@@ -96,7 +96,7 @@ void update_region(const double *src, double *dst, ptrdiff_t off,
 
 /* One node sweep, shared by its threads; kernel.Sweep mirrors it. */
 struct sweep {
-    int64_t n_threads, n_blocks, barrier, T, ghost, sz, sy;
+    int64_t n_blocks, T, ghost, sz, sy;
     int64_t n[3];                /* interior extents (z, y, x) */
     const int64_t *order;        /* n_blocks rows of base block (iz, iy, ix) */
     const int64_t *cuts;         /* every (level, axis) chain of cuts */
@@ -104,9 +104,9 @@ struct sweep {
     double *const *src;          /* per level: base of the read view */
     double *const *dst;          /* per level: base of the write view */
     const double *const *faces;  /* z low, z high, y low, ..., or NULL */
-    const int64_t *d_l, *d_u;    /* per thread, from effective_bounds */
-    const int64_t *first_step;   /* per thread: barrier step of block 0 */
-    int64_t *counters;           /* per thread: blocks done, both sync modes */
+    const int64_t *rule;         /* per thread and one past: its first pair */
+    const int64_t *rules;        /* (j, lead) pairs, from pipeline._rules */
+    int64_t *counters;           /* per thread: blocks done */
     const int32_t *abort;
     int64_t spin_budget;
     double timeout;              /* seconds */
@@ -183,35 +183,19 @@ static void apply_levels(const struct sweep *s, int64_t i, const int64_t *blk)
     }
 }
 
-/* Whether thread i may start block b, its barrier step being step.  On
-   success snap holds (c_prev, c_self, c_next), -1 for a missing
-   neighbour.  Relaxed sync is pipeline.may_proceed with its end-of-sweep
-   saturation.  Barrier sync waits until every thread j has finished step - 1:
-   its sweep, or the steps below first_step[j] + its count. */
-static int gate(const struct sweep *s, int64_t i, int64_t b, int64_t step,
-                int64_t *snap)
+/* Whether thread i may start block b: for each of its (j, lead) pairs,
+   thread j has finished its sweep or has c_j - b >= lead.  On success
+   snap holds (c_prev, c_self, c_next), -1 for a neighbour it does not
+   wait on. */
+static int gate(const struct sweep *s, int64_t i, int64_t b, int64_t *snap)
 {
-    const int64_t last = s->n_threads - 1;
     snap[0] = snap[2] = -1;
-    if (s->barrier) {
-        for (int64_t j = 0; j <= last; j++) {
-            const int64_t c = acquire(&s->counters[j]);
-            if (c < s->n_blocks && s->first_step[j] + c < step)
-                return 0;
-            if (j == i - 1 || j == i + 1)
-                snap[j - i + 1] = c;
-        }
-    } else {
-        if (i > 0) {
-            snap[0] = acquire(&s->counters[i - 1]);
-            if (snap[0] < s->n_blocks && snap[0] - b < s->d_l[i])
-                return 0;
-        }
-        if (i < last) {
-            snap[2] = acquire(&s->counters[i + 1]);
-            if (b - snap[2] > s->d_u[i])
-                return 0;
-        }
+    for (int64_t k = s->rule[i]; k < s->rule[i + 1]; k++) {
+        const int64_t j = s->rules[2 * k], c = acquire(&s->counters[j]);
+        if (c < s->n_blocks && c - b < s->rules[2 * k + 1])
+            return 0;
+        if (j == i - 1 || j == i + 1)
+            snap[j - i + 1] = c;
     }
     snap[1] = b;
     return 1;
@@ -219,12 +203,11 @@ static int gate(const struct sweep *s, int64_t i, int64_t b, int64_t step,
 
 /* Spin on the gate: spin_budget checks, then sched_yield before each
    further one, until timeout seconds after the first refusal. */
-static int wait_gate(const struct sweep *s, int64_t i, int64_t b,
-                     int64_t step, int64_t *snap)
+static int wait_gate(const struct sweep *s, int64_t i, int64_t b, int64_t *snap)
 {
     int64_t spins = 0;
     double deadline = 0.0;
-    while (!gate(s, i, b, step, snap)) {
+    while (!gate(s, i, b, snap)) {
         if (__atomic_load_n(s->abort, __ATOMIC_RELAXED))
             return SWEEP_ABORTED;
         if (spins == 0)
@@ -245,10 +228,9 @@ static int wait_gate(const struct sweep *s, int64_t i, int64_t b,
 int64_t sweep_thread(const struct sweep *s, int64_t i, int64_t *record,
                      int64_t *where)
 {
-    const int64_t first = s->first_step[i];
     for (int64_t b = 0; b < s->n_blocks; b++) {
         int64_t snap[3];
-        int status = wait_gate(s, i, b, first + b, snap);
+        int status = wait_gate(s, i, b, snap);
         if (status != SWEEP_DONE) {
             *where = b;
             return status;
@@ -338,12 +320,11 @@ class Sweep(ctypes.Structure):
     """
 
     _fields_ = ([(f, ctypes.c_int64) for f in
-                 ("n_threads", "n_blocks", "barrier", "T", "ghost", "sz",
-                  "sy")]
+                 ("n_blocks", "T", "ghost", "sz", "sy")]
                 + [("n", ctypes.c_int64 * 3)]
                 + [(f, ctypes.c_void_p) for f in
-                   ("order", "cuts", "chain", "src", "dst", "faces", "d_l",
-                    "d_u", "first_step", "counters", "abort")]
+                   ("order", "cuts", "chain", "src", "dst", "faces", "rule",
+                    "rules", "counters", "abort")]
                 + [("spin_budget", ctypes.c_int64),
                    ("timeout", ctypes.c_double)])
 

@@ -3,35 +3,36 @@
 Threads are split into teams; global thread i applies time levels
 i*T+1 .. (i+1)*T to every block of the domain, trailing its predecessor
 through the block list.  A node sweep applies U = teams * team_size * T
-levels.  Synchronization is either a global barrier after each block
-update or relaxed spin-gating on per-thread progress counters:
+levels.  Thread i counts the blocks it has done in c[i], and both sync
+modes are one rule on those counts, data built once per run by
+:func:`_rules`: thread i may start block b once, for each of its pairs
+(j, lead), thread j has finished its sweep or
 
-    c[i-1] - c[i] >= d_l   and   c[i] - c[i+1] <= d_u
+    c[j] - b >= lead
 
-with the team delay added to d_l on a team's front thread and to d_u on
-its rear thread; the overall front and rear threads skip the first and
-second condition respectively.
+Relaxed sync pairs thread i with its predecessor at lead D_l and with its
+successor at lead -D_u, D_l and D_u being d_l and d_u with the team delay
+added at a team's front and rear (:func:`effective_bounds`); this is
+:func:`may_proceed`.  Barrier sync, a global barrier after each block
+step, pairs it with every other thread j at lead f_i - f_j, where thread
+i's block b is barrier step f_i + b (:func:`_first_step`).
 
 Each thread runs a sweep in one of two loops.  Under the ``c`` backend it
 is one call of the compiled ``sweep_thread`` (:mod:`.kernel`), which holds
 no interpreter lock: it gates, updates and counts every block of the
 thread's sweep in C, on an ``int64`` counter array.  Under ``numpy`` it is
-``_run_sweep_py``, the same loop in Python with the same gate: relaxed
-sync is :func:`may_proceed`, and barrier sync waits until every thread has
-finished the barrier step before the block's.  The two apply the same
-levels to the same regions through the same :func:`_level_views`, so they
-give the same bits.
+``_run_sweep_py``, the same loop in Python with the same gate over the
+same pairs.  The two apply the same levels to the same regions through
+the same :func:`_level_views`, so they give the same bits.
 
 Visibility.  In the C loop a thread publishes its count with a release
-store after the block's writes, and a neighbour reads it with an acquire
-load, so every cell the block wrote is visible to a thread that sees the
-new count.  Barrier sync reads the same counters: thread i's block b is
-barrier step f_i + b (:func:`_first_step`), and it starts once every thread
-j has finished its sweep or has f_j + c[j] >= f_i + b.  In the Python loop
-the interpreter lock orders them: the block update drops the lock only
-inside the region kernel, the thread holds it when it stores its count,
-and a reader holds it when it reads it, so the lock's mutex orders the
-block's writes before any thread that sees the new count.
+store after the block's writes, and a thread that gates on it reads it
+with an acquire load, so every cell the block wrote is visible to a
+thread that sees the new count.  In the Python loop the interpreter lock
+orders them: the block update drops the lock only inside the region
+kernel, the thread holds it when it stores its count, and a reader holds
+it when it reads it, so the lock's mutex orders the block's writes before
+any thread that sees the new count.
 
 Spinning.  Under either sync mode a refused thread checks its gate
 ``_SPIN_BUDGET`` times, then yields (``sched_yield`` in C,
@@ -145,6 +146,18 @@ def _first_step(cfg: PipelineConfig, i: int) -> int:
     one step behind its predecessor, plus the team delay at a team's
     front."""
     return i + (i // cfg.team_size) * cfg.team_delay
+
+
+def _rules(cfg: PipelineConfig, i: int) -> list[tuple[int, int]]:
+    """Thread i's gate as (j, lead) pairs: it may start block b once each
+    thread j has finished its sweep or has ``c[j] - b >= lead``."""
+    if cfg.sync == "barrier":
+        f = _first_step(cfg, i)
+        return [(j, f - _first_step(cfg, j))
+                for j in range(cfg.n_threads) if j != i]
+    d_l, d_u = effective_bounds(cfg, i)
+    return [(j, lead) for j, lead in ((i - 1, d_l), (i + 1, -d_u))
+            if 0 <= j < cfg.n_threads]
 
 
 def may_proceed(counters, i: int, cfg: PipelineConfig,
@@ -351,11 +364,7 @@ class _Runner:
         n = cfg.n_threads
         self.counters = (ctypes.c_int64 * n)()
         self.stop = ctypes.c_int32()      # abort flag, polled by spins
-        # Run constants per thread: D_l, D_u, barrier step of block 0.
-        table = self._table = (ctypes.c_int64 * (3 * n))()
-        for i in range(n):
-            table[i], table[n + i] = effective_bounds(cfg, i)
-            table[2 * n + i] = _first_step(cfg, i)
+        self.rules = [_rules(cfg, i) for i in range(n)]
 
         if cfg.storage == "twogrid":
             if not isinstance(grid, TwoGrid):
@@ -383,19 +392,22 @@ class _Runner:
 
     def _init_c(self) -> None:
         """The compiled sweep's arguments that hold for the whole run."""
-        cfg, grid, table = self.cfg, self.grid, self._table
-        n = cfg.n_threads
+        cfg, grid = self.cfg, self.grid
         view = grid.current if grid.storage == "twogrid" else grid.data
+        # Every thread's pairs end to end, and each thread's first pair.
+        self._rule = array("q", itertools.accumulate(
+            map(len, self.rules), initial=0))
+        self._pairs = array("q", itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.rules)))
         a = self._args = kernel.Sweep(
-            n_threads=n, barrier=cfg.sync == "barrier",
             T=cfg.updates_per_thread, ghost=grid.dims.ghost,
             sz=view.strides[0] // 8, sy=view.strides[1] // 8,
             n=(ctypes.c_int64 * 3)(*grid.dims.shape),
             counters=ctypes.addressof(self.counters),
             abort=ctypes.addressof(self.stop),
+            rule=self._rule.buffer_info()[0],
+            rules=self._pairs.buffer_info()[0],
             spin_budget=self._SPIN_BUDGET, timeout=self._SPIN_TIMEOUT)
-        a.d_l, a.d_u, a.first_step = range(
-            ctypes.addressof(table), ctypes.addressof(table) + 24 * n, 8 * n)
         if grid.storage == "compressed":
             self._faces = [np.ascontiguousarray(f)
                            for pair in grid.faces for f in pair]
@@ -483,30 +495,28 @@ class _Runner:
         if record is not None:
             self._trace_sweep(sweep, i, record)
 
-    def _gate(self, i: int, b: int, step: int, n_blocks: int):
+    def _gate(self, i: int, b: int, n_blocks: int):
         """The compiled ``gate``, in Python: the (c_prev, c_self, c_next)
-        on which thread i may start block b, its barrier step being
-        ``step``, with -1 for a missing neighbour; None while it must
-        wait."""
-        c, n = self.counters, self.cfg.n_threads
-        if self.cfg.sync == "barrier":
-            if any(cj < n_blocks and first + cj < step
-                   for cj, first in zip(c, self._table[2 * n:])):
+        on which thread i may start block b, with -1 for a neighbour it
+        does not wait on; None while it must wait."""
+        c, snap = self.counters, [-1, b, -1]
+        for j, lead in self.rules[i]:
+            cj = c[j]
+            if cj < n_blocks and cj - b < lead:
                 return None
-        elif not may_proceed(c, i, self.cfg, n_blocks):
-            return None
-        return c[i - 1] if i > 0 else -1, b, c[i + 1] if i < n - 1 else -1
+            if abs(j - i) == 1:
+                snap[j - i + 1] = cj
+        return snap
 
     def _run_sweep_py(self, i: int, sweep: int, sched: BlockSchedule) -> None:
         """Thread i's sweep in Python, block for block as ``sweep_thread``:
         gate, levels, then its count."""
         n_blocks = sched.n_blocks
-        first = self._table[2 * self.cfg.n_threads + i]
         levels = self._levels(i)
         record = None if self.trace is None else []
         for b in range(n_blocks):
             spins = 0
-            while (snap := self._gate(i, b, first + b, n_blocks)) is None:
+            while (snap := self._gate(i, b, n_blocks)) is None:
                 if self.stop.value:
                     raise Aborted
                 if spins == 0:

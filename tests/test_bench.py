@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import types
+import weakref
 
 import pytest
 
@@ -159,6 +161,26 @@ def test_cli_thread_failure_keeps_its_traceback(monkeypatch):
     monkeypatch.setattr(bench, "run_node_sweeps", fail)
     with pytest.raises(PipelineError):
         cli_main(["verify", "--size", "8"])
+
+
+def test_cli_bench_keeps_one_grid_per_variant(monkeypatch, capsys):
+    # Every rep computes the same field, so no earlier rep's grid, nor an
+    # earlier variant's, may still be alive when the next one allocates.
+    allocate, grids, alive = bench.allocate, [], []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in grids))
+        grid = allocate(*args, **kwargs)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(bench, "allocate", tracked)
+    rc = cli_main(["bench", "--size", "8", "--variant", "naive",
+                   "--variant", "pipeline", "--reps", "3", "--sweeps", "1"])
+    capsys.readouterr()
+    assert rc == 0
+    assert alive == [0] * 6
 
 
 def test_cli_bench_median_of_equal_times(monkeypatch, capsys):

@@ -16,7 +16,8 @@ MACHINE = {"cores": 2, "python": "3.11.7"}
 
 def _record(workload, seed, median):
     return {"machine": MACHINE, "workers": 7, "dims": [8, 8, 8],
-            "args": {"workload": workload, "seed": seed, "seconds": 28.0},
+            "args": {"workload": workload, "seed": seed, "seconds": 28.0,
+                     "tiny": False},
             "correct": True, "attempted": 70, "failed": 0,
             "failures": [], "samples": {}, "calls": [],
             "metrics": {"pipeline_mlups": {"n": 7, "median": median,
@@ -49,4 +50,14 @@ def test_fold_refuses_a_missing_workload(tmp_path):
     (tmp_path / f"{w}_seed5_trace0.json").write_text(
         json.dumps(_record(w, 5, 1.0)))
     with pytest.raises(SystemExit, match="no run record"):
+        fold_bench.fold(5, tmp_path)
+
+
+def test_fold_refuses_a_tiny_record(tmp_path):
+    # perfbench names a --tiny record like a full run of the same seed.
+    for w in fold_bench.WORKLOADS:
+        rec = _record(w, 5, 1.0)
+        rec["args"]["tiny"] = w == fold_bench.WORKLOADS[1]
+        (tmp_path / f"{w}_seed5_trace0.json").write_text(json.dumps(rec))
+    with pytest.raises(SystemExit, match="--tiny"):
         fold_bench.fold(5, tmp_path)

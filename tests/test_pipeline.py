@@ -240,23 +240,25 @@ def test_compressed_ghost_refresh_needs_no_pattern(monkeypatch):
 def test_stalled_thread_times_out(monkeypatch, backends):
     # Thread 1's gate never opens: the run must end soon after the spin
     # timeout with an error naming the thread, and leave no worker behind.
-    # The Python loop's gate is shut for thread 1.  The compiled gate reads
-    # only counters, and any bounds that keep thread 1 waiting keep thread
-    # 0 spinning too, which could then time out first; so there thread 0
-    # never delivers a block, waiting outside C until the run is aborted,
-    # and thread 1 spins in C on a predecessor count that stays 0.
+    # The gate reads only counters, and any bounds that keep thread 1
+    # waiting keep thread 0 spinning too, which could then time out first;
+    # so thread 0 never delivers a block, waiting outside the sweep loop
+    # until the run is aborted, and thread 1 spins on a predecessor count
+    # that stays 0.
     monkeypatch.setattr(pipeline._Runner, "_SPIN_TIMEOUT", 0.2)
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
                          block=(8, 4, 4))
-    run_sweep_c = pipeline._Runner._run_sweep_c
+    loops = {"c": "_run_sweep_c", "numpy": "_run_sweep_py"}
 
-    def idle_front(self, i, sweep, sched):
-        if i == 0:
-            while not self.stop.value:
-                time.sleep(0.001)
-            raise Aborted
-        run_sweep_c(self, i, sweep, sched)
+    def idle_front(run_sweep):
+        def run(self, i, sweep, sched):
+            if i == 0:
+                while not self.stop.value:
+                    time.sleep(0.001)
+                raise Aborted
+            run_sweep(self, i, sweep, sched)
+        return run
 
     for backend in backends:
         g = allocate(d, "twogrid", FillPattern.random(61))
@@ -269,10 +271,9 @@ def test_stalled_thread_times_out(monkeypatch, backends):
                 errors.append(exc)
 
         with monkeypatch.context() as mp:
-            if backend == "c":
-                mp.setattr(pipeline._Runner, "_run_sweep_c", idle_front)
-            else:
-                mp.setattr(pipeline, "may_proceed", lambda c, i, *a: i != 1)
+            name = loops[backend]
+            mp.setattr(pipeline._Runner, name,
+                       idle_front(getattr(pipeline._Runner, name)))
             caller = threading.Thread(target=run, daemon=True)
             caller.start()
             caller.join(timeout=5.0)
@@ -333,11 +334,23 @@ def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
 
 
 def test_storage_mismatch_rejected():
+    # Each (grid storage, config storage, level domains) the runner refuses
+    # before any thread writes.
     d = GridDims(8, 8, 8)
-    g = allocate(d, "twogrid", FillPattern.constant(0.0))
-    cfg = PipelineConfig(storage="compressed")
-    with pytest.raises(ValueError):
-        run_node_sweeps(g, cfg, 1)
+    U = PipelineConfig().levels_per_sweep
+    cases = [("twogrid", "compressed", None,
+              "config expects compressed storage"),
+             ("compressed", "twogrid", None,
+              "config expects two-grid storage"),
+             ("compressed", "compressed", [((0, 0, 0), d.shape)] * U,
+              "interior domains only")]
+    for storage, wanted, domains, message in cases:
+        g = allocate(d, storage, FillPattern.random(3), slack=U)
+        arrays = (g.a, g.b) if storage == "twogrid" else (g.data,)
+        before = [a.tobytes() for a in arrays]
+        with pytest.raises(ValueError, match=message):
+            run_node_sweeps(g, PipelineConfig(storage=wanted), 1, domains)
+        assert [a.tobytes() for a in arrays] == before, message
 
 
 def test_compressed_rerun_at_slack_u_matches_oracle(backends):

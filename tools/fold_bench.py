@@ -13,7 +13,8 @@ workload and writes ``BENCH_<pr>.json`` at the root: the seed, every
 metric's n, median, q1 and q3 per workload, each run's outcome (correct,
 attempted, failed), the machine facts, ``git rev-parse HEAD`` (and
 whether ``src/`` differs from it), and the package's ``BACKEND`` and C
-build flags.  The records must come from the tree the revision names;
+build flags.  A ``--tiny`` record has the same name as a full one, so it
+is refused.  The records must come from the tree the revision names;
 nothing here can tell.  Standard library only: the backend is read from
 a child interpreter that imports the package from ``src/``.
 """
@@ -56,6 +57,8 @@ def fold(seed: int, out: Path = OUT) -> dict:
         if not path.exists():
             raise SystemExit(f"fold_bench: no run record {path}")
         rec = json.loads(path.read_text())
+        if rec["args"].get("tiny"):
+            raise SystemExit(f"fold_bench: {path.name} is a --tiny run")
         if machine not in (None, rec["machine"]):
             raise SystemExit(f"fold_bench: {path.name} ran on another machine")
         machine = rec["machine"]
