@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .decomp import run_distributed
 from .grid import FillPattern, GridDims, allocate, dump_field
-from .kernel import BACKEND, sweep_naive, sweep_spatial_blocked
+from .kernel import BACKEND, BUILD_FLAGS, sweep_naive, sweep_spatial_blocked
 from .model import (MachineParams, NetworkParams, efficiency, multihalo_ratio,
                     multihalo_time, pipelined_speedup)
 from .pipeline import PipelineConfig, default_block_size, run_node_sweeps
@@ -204,9 +204,10 @@ def cmd_verify(args) -> int:
     run_node_sweeps(grid, cfg, args.sweeps)
     ref = oracle(dims, pattern, args.sweeps * cfg.levels_per_sweep)
     cmp = compare(ref, grid)
+    build = "" if BUILD_FLAGS is None else f" ({' '.join(BUILD_FLAGS)})"
     print(f"verify {cfg.storage}/{cfg.sync} n={cfg.teams} t={cfg.team_size} "
           f"T={cfg.updates_per_thread} sweeps={args.sweeps} "
-          f"backend={BACKEND}: {cmp}")
+          f"backend={BACKEND}{build}: {cmp}")
     return 0 if cmp.passed else 1
 
 

@@ -3,13 +3,21 @@
 ``update_region`` is the one entry point that evaluates the stencil over a
 box.  It runs a compiled C function when one loads (``BACKEND == "c"``) and
 the numpy body otherwise (``BACKEND == "numpy"``).  The C source below is
-compiled at import with the system ``gcc`` (``-O3 -ffp-contract=off``, no
-fast-math) and cached as ``stencilpipe/region-<hash>.so`` under
-``$XDG_CACHE_HOME``, or ``~/.cache`` when that is unset; the hash covers the
-source and the flags.  When the cache directory cannot be used safely the
-library is built in a private temporary directory for this process only.
-Any failure to build or load, a missing symbol included, leaves the numpy
-backend in place.  ``ctypes`` releases the interpreter lock for each call.
+compiled at import with the system ``gcc`` for the host CPU (``-march=native
+-O3 -ffp-contract=off``, no fast-math) and cached as
+``stencilpipe/region-<hash>.so`` under ``$XDG_CACHE_HOME``, or ``~/.cache``
+when that is unset.  The hash covers the source, the flags and the host
+CPU's identity (the ``vendor_id``, ``cpu family``, ``model`` and ``flags``
+lines of the first processor in ``/proc/cpuinfo``), so a cache shared
+between hosts never hands one a library built for another CPU.  When the
+cache directory cannot be used safely the library is built in a private
+temporary directory for this process only.  When the native build fails,
+or the CPU's identity cannot be read, the library is built with the
+portable flags (``-O3 -ffp-contract=off``); when that fails too, a missing
+symbol included, the numpy backend stays in place.  ``BUILD_FLAGS`` records
+the flags of the library that loaded, or None under numpy.  No flag lets
+gcc contract or reorder floating-point operations, so every build gives the
+same bits.  ``ctypes`` releases the interpreter lock for each call.
 
 The library exports three functions.  Two sit around one ``static``
 region body, ``region``, which holds the only C stencil loop.
@@ -273,8 +281,41 @@ void fill_random(double *dst, ptrdiff_t nz, ptrdiff_t ny, ptrdiff_t nx,
 }
 """
 
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_PORTABLE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# The builds _load tries, in order.  None may contract or reorder
+# floating-point operations, so every build gives the oracle's bits; only
+# the first is specific to the host CPU.
+_BUILDS = (("-march=native", *_PORTABLE_FLAGS), _PORTABLE_FLAGS)
+_CPU_KEYS = ("vendor_id", "cpu family", "model", "flags")
 _COMPILE_TIMEOUT = 60.0   # seconds
+
+
+def _cpu_identity(path: str = "/proc/cpuinfo") -> str | None:
+    """The ``vendor_id``, ``cpu family``, ``model`` and ``flags`` lines of
+    the first processor in ``path``, or None when it cannot be read or
+    lacks one of them.  Lines that vary at run time, such as the clock,
+    are left out, so the identity is the same on every read."""
+    found = {}
+    try:
+        with open(path, encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if not line.strip():
+                    break   # the end of the first processor
+                key, sep, value = line.partition(":")
+                if sep and key.strip() in _CPU_KEYS:
+                    found[key.strip()] = value.strip()
+    except OSError:
+        return None
+    if len(found) != len(_CPU_KEYS):
+        return None
+    return "\n".join(f"{k}: {found[k]}" for k in _CPU_KEYS)
+
+
+def _library_name(flags: tuple[str, ...], cpu: str) -> str:
+    """The cache name of the library built from ``_SOURCE`` with ``flags``
+    on a host whose CPU identity is ``cpu``."""
+    digest = hashlib.sha256("\0".join((_SOURCE, *flags, cpu)).encode())
+    return f"region-{digest.hexdigest()[:24]}.so"
 
 
 def _cache_dir() -> str | None:
@@ -294,14 +335,15 @@ def _cache_dir() -> str | None:
     return path
 
 
-def _compile(directory: str, name: str) -> str:
-    """Build the library into ``directory`` under a temporary name and
-    rename it to ``name``, so a reader never sees a partial file."""
+def _compile(directory: str, name: str, flags: tuple[str, ...]) -> str:
+    """Build the library with ``flags`` into ``directory`` under a
+    temporary name and rename it to ``name``, so a reader never sees a
+    partial file."""
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp",
                                dir=directory)
     os.close(fd)
     try:
-        subprocess.run(["gcc", *_CFLAGS, "-x", "c", "-", "-o", tmp],
+        subprocess.run(["gcc", *flags, "-x", "c", "-", "-o", tmp],
                        input=_SOURCE, text=True, capture_output=True,
                        timeout=_COMPILE_TIMEOUT, check=True)
         path = os.path.join(directory, name)
@@ -333,38 +375,48 @@ class Sweep(ctypes.Structure):
 SWEEP_DONE, SWEEP_ABORTED, SWEEP_TIMEOUT = range(3)
 
 
+def _open(flags: tuple[str, ...], cpu: str) -> ctypes.CDLL:
+    """The library built with ``flags``, from the cache or built now."""
+    name = _library_name(flags, cpu)
+    directory = _cache_dir()
+    if directory is None:
+        # The mapping outlives the file, so the directory can go.
+        with tempfile.TemporaryDirectory(prefix="stencilpipe-") as tmp:
+            return ctypes.CDLL(_compile(tmp, name, flags))
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        path = _compile(directory, name, flags)
+    return ctypes.CDLL(path)
+
+
 def _load():
     """The compiled ``update_region``, ``sweep_thread`` and ``fill_random``
-    functions, or three Nones when the library cannot be built or loaded."""
-    digest = hashlib.sha256("\0".join((_SOURCE, *_CFLAGS)).encode())
-    name = f"region-{digest.hexdigest()[:24]}.so"
-    try:
-        directory = _cache_dir()
-        if directory is not None:
-            path = os.path.join(directory, name)
-            if not os.path.exists(path):
-                path = _compile(directory, name)
-            lib = ctypes.CDLL(path)
-        else:
-            # The mapping outlives the file, so the directory can go.
-            with tempfile.TemporaryDirectory(prefix="stencilpipe-") as tmp:
-                lib = ctypes.CDLL(_compile(tmp, name))
-        update, sweep = lib.update_region, lib.sweep_thread
-        fill = lib.fill_random
-    except (OSError, subprocess.SubprocessError, AttributeError):
-        return None, None, None
-    update.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
-    update.restype = None
-    sweep.argtypes = [ctypes.POINTER(Sweep), ctypes.c_int64, ctypes.c_void_p,
-                      ctypes.POINTER(ctypes.c_int64)]
-    sweep.restype = ctypes.c_int64
-    fill.argtypes = ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
-                     + [ctypes.c_int64] * 3 + [ctypes.c_uint64])
-    fill.restype = None
-    return update, sweep, fill
+    functions and the flags they were built with, or four Nones when no
+    build in ``_BUILDS`` can be built and loaded.  The native build is
+    tried only when the host CPU's identity is known, since it keys the
+    cache name."""
+    cpu = _cpu_identity()
+    for flags in _BUILDS if cpu is not None else _BUILDS[1:]:
+        try:
+            lib = _open(flags, cpu or "")
+            update, sweep = lib.update_region, lib.sweep_thread
+            fill = lib.fill_random
+        except (OSError, subprocess.SubprocessError, AttributeError):
+            continue
+        update.argtypes = ([ctypes.c_void_p, ctypes.c_void_p]
+                           + [ctypes.c_ssize_t] * 6)
+        update.restype = None
+        sweep.argtypes = [ctypes.POINTER(Sweep), ctypes.c_int64,
+                          ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
+        sweep.restype = ctypes.c_int64
+        fill.argtypes = ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
+                         + [ctypes.c_int64] * 3 + [ctypes.c_uint64])
+        fill.restype = None
+        return update, sweep, fill, flags
+    return None, None, None, None
 
 
-_c_update, _c_sweep, _c_fill = _load()
+_c_update, _c_sweep, _c_fill, BUILD_FLAGS = _load()
 BACKEND = "numpy" if _c_update is None else "c"
 
 

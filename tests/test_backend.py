@@ -53,8 +53,55 @@ def _backends_of(*procs) -> list[str]:
 
 def test_gcc_on_path_means_the_c_backend():
     # Every other test passes on numpy too, so without this a broken build
-    # would go unnoticed.
-    assert shutil.which("gcc") is None or kernel.BACKEND == "c"
+    # would go unnoticed; and every test passes on the portable build, so
+    # a native build that fails where the CPU is known must show here.
+    if shutil.which("gcc") is not None:
+        assert kernel.BACKEND == "c"
+        native = kernel._cpu_identity() is not None
+        assert kernel.BUILD_FLAGS == kernel._BUILDS[0 if native else 1]
+
+
+def test_no_build_may_change_the_bits():
+    # Each lane of a vector must do the IEEE add and multiply the numpy
+    # body does, so no build may contract into FMAs or reorder sums.
+    for flags in kernel._BUILDS:
+        assert "-ffp-contract=off" in flags, flags
+        assert not {"-ffast-math", "-Ofast", "-ffp-contract=fast"} & set(flags)
+
+
+CPUINFO = """processor\t: {n}
+vendor_id\t: GenuineIntel
+cpu family\t: 6
+model\t\t: 143
+model name\t: Intel(R) Xeon(R) Processor
+cpu MHz\t\t: {mhz}
+flags\t\t: fpu sse2 avx2 {extra}
+
+"""
+
+
+def test_cpu_identity_is_the_first_processors_fixed_lines(tmp_path):
+    def identity(text):
+        path = tmp_path / "cpuinfo"
+        path.write_text(text)
+        return kernel._cpu_identity(str(path))
+
+    first = CPUINFO.format(n=0, mhz="2100.000", extra="avx512f")
+    got = identity(first + CPUINFO.format(n=1, mhz="2100.000", extra=""))
+    assert got == ("vendor_id: GenuineIntel\ncpu family: 6\nmodel: 143\n"
+                   "flags: fpu sse2 avx2 avx512f")
+    # The clock moves between reads; the identity must not.
+    assert identity(CPUINFO.format(n=0, mhz="800.000", extra="avx512f")) == got
+    assert identity(first.replace("vendor_id", "vendor")) is None
+    assert kernel._cpu_identity(str(tmp_path / "missing")) is None
+
+
+def test_library_name_keys_on_the_cpu():
+    flags, cpu = kernel._BUILDS[0], "vendor_id: GenuineIntel\nflags: avx2"
+    name = kernel._library_name(flags, cpu)
+    assert kernel._library_name(flags, cpu) == name
+    assert kernel._library_name(flags, cpu + " avx512f") != name
+    assert kernel._library_name(kernel._BUILDS[1], cpu) != name
 
 
 @needs_gcc
@@ -104,6 +151,25 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path):
     assert got[0].split() == [
         "numpy", hashlib.sha256(want.tobytes() * 2).hexdigest()]
     assert list((tmp_path / "stencilpipe").iterdir()) == []
+
+
+@needs_gcc
+def test_failed_native_build_falls_back_to_the_portable_flags(tmp_path):
+    # A gcc that refuses -march=native and runs the real one otherwise.
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    wrapper = bin_dir / "gcc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'for a in "$@"; do [ "$a" = -march=native ] && exit 1; done\n'
+        f'exec {shutil.which("gcc")} "$@"\n')
+    wrapper.chmod(0o755)
+    probe = PROBE + "; print(' '.join(k.BUILD_FLAGS))"
+    path = os.pathsep.join((str(bin_dir), os.environ.get("PATH", "")))
+    [got] = _backends_of(_importer(tmp_path, probe, PATH=path))
+    assert got.splitlines() == ["c", " ".join(kernel._BUILDS[-1])]
+    files = [p.name for p in (tmp_path / "stencilpipe").iterdir()]
+    assert len(files) == 1 and files[0].endswith(".so"), files
 
 
 @needs_gcc

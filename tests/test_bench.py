@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from stencilpipe import bench
+from stencilpipe import bench, kernel
 from stencilpipe.bench import (COLUMNS, BenchResult, cli_main, report)
 from stencilpipe.grid import GridDims
 from stencilpipe.pipeline import PipelineConfig, PipelineError
@@ -53,6 +53,18 @@ def test_cli_verify_ok(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "bitwise" in out
+
+
+def test_cli_verify_names_the_build(capsys, backends, monkeypatch):
+    # The loaded library's flags follow the backend, so a fallback from
+    # the native build shows; under numpy there are none.
+    for backend in backends:
+        flags = kernel.BUILD_FLAGS if backend == "c" else None
+        monkeypatch.setattr(bench, "BACKEND", backend)
+        monkeypatch.setattr(bench, "BUILD_FLAGS", flags)
+        assert cli_main(["verify", "--size", "8", "--sweeps", "1"]) == 0
+        build = "" if flags is None else f" ({' '.join(flags)})"
+        assert f" backend={backend}{build}: PASS" in capsys.readouterr().out
 
 
 def test_cli_bench_reports_updates(capsys):

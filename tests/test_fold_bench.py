@@ -35,7 +35,8 @@ def test_fold_keeps_medians_quartiles_and_build(tmp_path, monkeypatch):
     bench = fold_bench.fold(5, tmp_path)
     assert bench["seed"] == 5 and bench["machine"] == MACHINE
     assert bench["backend"] == kernel.BACKEND
-    assert bench["cflags"] == list(kernel._CFLAGS)
+    flags = kernel.BUILD_FLAGS
+    assert bench["cflags"] == (None if flags is None else list(flags))
     assert bench["git_rev"] == "f" * 40 and bench["src_modified"] is False
     for k, w in enumerate(fold_bench.WORKLOADS):
         run = bench["workloads"][w]

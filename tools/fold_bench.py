@@ -12,8 +12,9 @@ It reads ``perfbench/out/<workload>_seed<seed>_trace0.json`` for every
 workload and writes ``BENCH_<pr>.json`` at the root: the seed, every
 metric's n, median, q1 and q3 per workload, each run's outcome (correct,
 attempted, failed), the machine facts, ``git rev-parse HEAD`` (and
-whether ``src/`` differs from it), and the package's ``BACKEND`` and C
-build flags.  A ``--tiny`` record has the same name as a full one, so it
+whether ``src/`` differs from it), and the package's ``BACKEND`` and
+``BUILD_FLAGS``: the flags its C library was built with, or null under
+numpy.  A ``--tiny`` record has the same name as a full one, so it
 is refused.  The records must come from the tree the revision names;
 nothing here can tell.  Standard library only: the backend is read from
 a child interpreter that imports the package from ``src/``.
@@ -33,7 +34,7 @@ OUT = ROOT / "perfbench" / "out"
 WORKLOADS = ("cache-resident", "memory-bound", "halo-bound")
 FIELDS = ("unit", "n", "median", "q1", "q3")    # kept per metric
 _BUILD = ("import json; from stencilpipe import kernel; "
-          "print(json.dumps([kernel.BACKEND, kernel._CFLAGS]))")
+          "print(json.dumps([kernel.BACKEND, kernel.BUILD_FLAGS]))")
 
 
 def git(*args: str) -> str:
@@ -41,8 +42,9 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def build() -> tuple[str, list[str]]:
-    """The package's kernel backend and C flags, as its import finds them."""
+def build() -> tuple[str, list[str] | None]:
+    """The package's kernel backend and the flags of the C library it
+    loaded, as its import finds them."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", _BUILD], env=env,
                          capture_output=True, text=True, check=True).stdout
