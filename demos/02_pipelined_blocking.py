@@ -12,7 +12,7 @@ mode, which keeps a single array and shifts the origin diagonally.
 """
 
 from stencilpipe import (FillPattern, GridDims, PipelineConfig, allocate,
-                         audit_trace, build_schedule, compare,
+                         audit_trace, compare,
                          instrumented_run, oracle, run_node_sweeps, trace_csv)
 
 dims = GridDims(32, 32, 32)
@@ -28,8 +28,7 @@ trace = instrumented_run(grid, cfg, sweeps=2)
 ref = oracle(dims, pattern, 2 * cfg.levels_per_sweep)
 print("vs naive oracle:", compare(ref, grid))
 
-sched = build_schedule(dims, cfg)
-bad = audit_trace(trace, cfg, n_blocks=sched.n_blocks)
+bad = audit_trace(trace, cfg)
 print(f"counter trace: {len(trace)} block starts, "
       f"{len(bad)} distance violations")
 print("first trace rows:")

@@ -1,35 +1,37 @@
 """The Jacobi region update and the serial sweep variants.
 
-``update_region`` is the one entry point that evaluates the stencil over a
-box.  It runs a compiled C function when one loads (``BACKEND == "c"``) and
-the numpy body otherwise (``BACKEND == "numpy"``).  The C source below is
-compiled at import with the system ``gcc`` for the host CPU (``-march=native
--O3 -ffp-contract=off``, no fast-math) and cached as
+``update_region`` evaluates the stencil over a box in numpy; the oracle
+(``sweep_naive``) and the Python block loop of the numpy backend call it.
+Under the ``c`` backend (``BACKEND == "c"``) the blocks of every other
+engine go through a compiled library instead.  The C source below is
+compiled at import with the system ``gcc`` for the host CPU
+(``-march=native -O3 -ffp-contract=off``, no fast-math) and cached as
 ``stencilpipe/region-<hash>.so`` under ``$XDG_CACHE_HOME``, or ``~/.cache``
 when that is unset.  The hash covers the source, the flags and the host
 CPU's identity (the ``vendor_id``, ``cpu family``, ``model`` and ``flags``
 lines of the first processor in ``/proc/cpuinfo``), so a cache shared
-between hosts never hands one a library built for another CPU.  When the
-cache directory cannot be used safely the library is built in a private
-temporary directory for this process only.  When the native build fails,
-or the CPU's identity cannot be read, the library is built with the
+between hosts never hands one a library built for another CPU.  A build
+already in the cache loads before any is compiled, so a native build that
+failed once is not retried while the portable library is cached.  When
+the cache directory cannot be used safely the library is built in a
+private temporary directory for this process only.  When the native build
+fails, or the CPU's identity cannot be read, the library is built with the
 portable flags (``-O3 -ffp-contract=off``); when that fails too, a missing
 symbol included, the numpy backend stays in place.  ``BUILD_FLAGS`` records
 the flags of the library that loaded, or None under numpy.  No flag lets
 gcc contract or reorder floating-point operations, so every build gives the
 same bits.  ``ctypes`` releases the interpreter lock for each call.
 
-The library exports three functions.  Two sit around one ``static``
-region body, ``region``, which holds the only C stencil loop.
-``update_region`` calls it once.  ``sweep_thread`` runs one pipeline
+The library exports two functions.  ``sweep_thread`` runs one pipeline
 thread's whole node sweep: it walks the thread's blocks in the schedule's
 order, gates each on the counters of the threads its rules name, restores
-a compressed level's ghost faces, calls ``region`` for each of the
-thread's levels and publishes its count; see :mod:`.pipeline` for the
-rules and :class:`Sweep` for its arguments.
-``fill_random`` writes the ``random`` fill pattern's hash into a strided
-view for any logical box; ``FillPattern.fill`` calls it, while
-``FillPattern.evaluate`` stays the numpy definition of the pattern.
+a compressed level's ghost faces and applies each of the thread's levels
+with the ``static`` region body ``region``, the only C stencil loop, then
+publishes its count; see :mod:`.pipeline` for the rules and :class:`Sweep`
+for its arguments.  ``fill_random`` writes the ``random`` fill pattern's
+hash into a strided view for any logical box; ``FillPattern.fill`` calls
+it, while ``FillPattern.evaluate`` stays the numpy definition of the
+pattern.
 
 A compressed level passes two overlapping views of one array.  The C loop
 follows the ``memmove`` rule: it runs forward when ``dst <= src`` and in
@@ -37,8 +39,8 @@ reverse on all three axes otherwise, so every cell is read before the
 write that lands on it; the numpy body builds its right-hand side before
 it writes.
 
-``sweep_naive`` calls the numpy body directly: it is the correctness oracle
-for every other engine in the package, whatever the backend.
+``sweep_naive`` is the correctness oracle for every other engine in the
+package; it runs ``update_region`` whatever the backend.
 ``sweep_spatial_blocked`` is one node sweep of a one-thread, one-level
 pipeline.  All variants share one per-cell summation order, ((x-)+(x+))
 + ((y-)+(y+)) + ((z-)+(z+)) then * 1/6, so results agree bitwise whenever
@@ -93,13 +95,6 @@ static void region(const double *src, double *dst, ptrdiff_t off,
                             + (c[x - sz] + c[x + sz])) * sixth;
             }
     }
-}
-
-void update_region(const double *src, double *dst, ptrdiff_t off,
-                   ptrdiff_t nz, ptrdiff_t ny, ptrdiff_t nx,
-                   ptrdiff_t sz, ptrdiff_t sy)
-{
-    region(src, dst, off, nz, ny, nx, sz, sy);
 }
 
 /* One node sweep, shared by its threads; kernel.Sweep mirrors it. */
@@ -375,10 +370,11 @@ class Sweep(ctypes.Structure):
 SWEEP_DONE, SWEEP_ABORTED, SWEEP_TIMEOUT = range(3)
 
 
-def _open(flags: tuple[str, ...], cpu: str) -> ctypes.CDLL:
-    """The library built with ``flags``, from the cache or built now."""
+def _open(flags: tuple[str, ...], cpu: str,
+          directory: str | None) -> ctypes.CDLL:
+    """The library built with ``flags``, from the cache ``directory`` or
+    built now."""
     name = _library_name(flags, cpu)
-    directory = _cache_dir()
     if directory is None:
         # The mapping outlives the file, so the directory can go.
         with tempfile.TemporaryDirectory(prefix="stencilpipe-") as tmp:
@@ -390,50 +386,42 @@ def _open(flags: tuple[str, ...], cpu: str) -> ctypes.CDLL:
 
 
 def _load():
-    """The compiled ``update_region``, ``sweep_thread`` and ``fill_random``
-    functions and the flags they were built with, or four Nones when no
-    build in ``_BUILDS`` can be built and loaded.  The native build is
-    tried only when the host CPU's identity is known, since it keys the
-    cache name."""
-    cpu = _cpu_identity()
-    for flags in _BUILDS if cpu is not None else _BUILDS[1:]:
+    """The compiled ``sweep_thread`` and ``fill_random`` functions and the
+    flags they were built with, or three Nones when no build in ``_BUILDS``
+    can be built and loaded.  The native build is tried only when the host
+    CPU's identity is known, since it keys the cache name.  Builds already
+    in the cache go first, in ``_BUILDS`` order, so gcc runs only when
+    none is cached."""
+    cpu = _cpu_identity() or ""
+    builds = _BUILDS if cpu else _BUILDS[1:]
+    directory = _cache_dir()
+
+    def uncached(flags):
+        return directory is None or not os.path.exists(
+            os.path.join(directory, _library_name(flags, cpu)))
+
+    for flags in sorted(builds, key=uncached):
         try:
-            lib = _open(flags, cpu or "")
-            update, sweep = lib.update_region, lib.sweep_thread
-            fill = lib.fill_random
+            lib = _open(flags, cpu, directory)
+            sweep, fill = lib.sweep_thread, lib.fill_random
         except (OSError, subprocess.SubprocessError, AttributeError):
             continue
-        update.argtypes = ([ctypes.c_void_p, ctypes.c_void_p]
-                           + [ctypes.c_ssize_t] * 6)
-        update.restype = None
         sweep.argtypes = [ctypes.POINTER(Sweep), ctypes.c_int64,
                           ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
         sweep.restype = ctypes.c_int64
         fill.argtypes = ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
                          + [ctypes.c_int64] * 3 + [ctypes.c_uint64])
         fill.restype = None
-        return update, sweep, fill, flags
-    return None, None, None, None
+        return sweep, fill, flags
+    return None, None, None
 
 
-_c_update, _c_sweep, _c_fill, BUILD_FLAGS = _load()
-BACKEND = "numpy" if _c_update is None else "c"
+_c_sweep, _c_fill, BUILD_FLAGS = _load()
+BACKEND = "numpy" if _c_sweep is None else "c"
 
 
 def _sh(s: slice, d: int) -> slice:
     return slice(s.start + d, s.stop + d)
-
-
-def _update_region_numpy(src: np.ndarray, dst: np.ndarray, ghost: int,
-                         lo, hi) -> None:
-    """The numpy body: the right-hand side is built before it is written."""
-    cz, cy, cx = center = tuple(slice(l + ghost, h + ghost)
-                                for l, h in zip(lo, hi))
-    dst[center] = (
-        (src[cz, cy, _sh(cx, -1)] + src[cz, cy, _sh(cx, 1)])
-        + (src[cz, _sh(cy, -1), cx] + src[cz, _sh(cy, 1), cx])
-        + (src[_sh(cz, -1), cy, cx] + src[_sh(cz, 1), cy, cx])
-    ) * ONE_SIXTH
 
 
 def _check_region(src: np.ndarray, dst: np.ndarray, ghost: int, lo, hi) -> None:
@@ -457,28 +445,28 @@ def update_region(src: np.ndarray, dst: np.ndarray, ghost: int, lo, hi) -> None:
     An empty box is a no-op.  Otherwise the arrays must hold float64 with
     equal strides and unit x stride, and the box plus its one-cell
     neighbourhood must lie inside both; a violation raises
-    :class:`GridError` before anything is written.
+    :class:`GridError` before anything is written.  The right-hand side is
+    built before it is written, so overlapping views are safe.
     """
-    nz, ny, nx = (h - l for l, h in zip(lo, hi))
-    if min(nz, ny, nx) <= 0:
+    if any(h <= l for l, h in zip(lo, hi)):
         return
     _check_region(src, dst, ghost, lo, hi)
-    fn = _c_update
-    if fn is None:
-        _update_region_numpy(src, dst, ghost, lo, hi)
-        return
-    sz, sy = src.strides[0] // 8, src.strides[1] // 8
-    off = (lo[0] + ghost) * sz + (lo[1] + ghost) * sy + lo[2] + ghost
-    fn(src.ctypes.data, dst.ctypes.data, off, nz, ny, nx, sz, sy)
+    cz, cy, cx = center = tuple(slice(l + ghost, h + ghost)
+                                for l, h in zip(lo, hi))
+    dst[center] = (
+        (src[cz, cy, _sh(cx, -1)] + src[cz, cy, _sh(cx, 1)])
+        + (src[cz, _sh(cy, -1), cx] + src[cz, _sh(cy, 1), cx])
+        + (src[_sh(cz, -1), cy, cx] + src[_sh(cz, 1), cy, cx])
+    ) * ONE_SIXTH
 
 
 def sweep_naive(grid: TwoGrid) -> None:
     """One full Jacobi sweep: non-current <- stencil(current), then swap.
 
-    Always the numpy body: the oracle does not depend on the backend.
+    Always ``update_region``: the oracle does not depend on the backend.
     """
     d = grid.dims
-    _update_region_numpy(grid.current, grid.other, d.ghost, (0, 0, 0), d.shape)
+    update_region(grid.current, grid.other, d.ghost, (0, 0, 0), d.shape)
     grid.swap()
 
 

@@ -278,12 +278,14 @@ class TraceEvent:
     c_next: int
 
 
-def audit_trace(events, cfg: PipelineConfig,
-                n_blocks: int | None = None) -> list[TraceEvent]:
+def audit_trace(events, cfg: PipelineConfig) -> list[TraceEvent]:
     """Events whose counter snapshot :func:`may_proceed` would refuse.
 
-    ``n_blocks`` enables the end-of-sweep saturation of :func:`may_proceed`.
+    ``events`` hold whole sweeps, as :func:`instrumented_run` records them,
+    so the highest block ordinal gives the block count for the end-of-sweep
+    saturation of :func:`may_proceed`.
     """
+    n_blocks = 1 + max((ev.block for ev in events), default=-1)
     return [ev for ev in events
             if not may_proceed({ev.thread - 1: ev.c_prev, ev.thread: ev.c_self,
                                 ev.thread + 1: ev.c_next},

@@ -35,12 +35,12 @@ def run_bounded():
 class _Backends:
     """Iterating runs the loop body under each backend in turn and yields
     its name: ``"c"`` when the library loaded, then ``"numpy"`` with the
-    loaded region, sweep and fill functions hidden, so pipelines run the
-    Python block loop and grids fill through ``FillPattern.evaluate``.
+    loaded sweep and fill functions hidden, so pipelines run the Python
+    block loop and grids fill through ``FillPattern.evaluate``.
     Iterable again, so a Hypothesis test covers both backends in every
     example."""
 
-    _NAMES = ("_c_update", "_c_sweep", "_c_fill")
+    _NAMES = ("_c_sweep", "_c_fill")
 
     def __init__(self, monkeypatch):
         self._patch = monkeypatch

@@ -1,7 +1,7 @@
-"""Loading the compiled kernel: its region, sweep and fill functions load
+"""Loading the compiled kernel: its sweep and fill functions load
 wherever ``gcc`` runs, and every way of failing to build or load it leaves
-the numpy body, the Python block loop and the numpy fill in place.  The
-ctypes mirror ``kernel.Sweep`` has the C ``struct sweep``'s layout."""
+the Python block loop and the numpy fill in place.  The ctypes mirror
+``kernel.Sweep`` has the C ``struct sweep``'s layout."""
 
 import ctypes
 import hashlib
@@ -107,9 +107,9 @@ def test_library_name_keys_on_the_cpu():
 @needs_gcc
 def test_gcc_on_path_means_the_compiled_sweep(monkeypatch):
     # Pipelines fall back to the Python block loop when the sweep function
-    # is missing, and every other test passes there too; so it must load
-    # next to update_region, and a run must not enter the Python loop.
-    assert kernel._c_update is not None and kernel._c_sweep is not None
+    # is missing, and every other test passes there too; so it must load,
+    # and a run must not enter the Python loop.
+    assert kernel._c_sweep is not None
 
     def python_loop(*args):
         raise AssertionError("the Python block loop ran under the c backend")
@@ -155,19 +155,27 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path):
 
 @needs_gcc
 def test_failed_native_build_falls_back_to_the_portable_flags(tmp_path):
-    # A gcc that refuses -march=native and runs the real one otherwise.
+    # A gcc that logs and refuses -march=native and runs the real one
+    # otherwise.  The second import must load the cached portable library
+    # without trying the native build again.
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
+    log = tmp_path / "native.log"
     wrapper = bin_dir / "gcc"
     wrapper.write_text(
         "#!/bin/sh\n"
-        'for a in "$@"; do [ "$a" = -march=native ] && exit 1; done\n'
+        'for a in "$@"; do\n'
+        f'  [ "$a" = -march=native ] && echo "$a" >> "{log}" && exit 1\n'
+        "done\n"
         f'exec {shutil.which("gcc")} "$@"\n')
     wrapper.chmod(0o755)
     probe = PROBE + "; print(' '.join(k.BUILD_FLAGS))"
     path = os.pathsep.join((str(bin_dir), os.environ.get("PATH", "")))
-    [got] = _backends_of(_importer(tmp_path, probe, PATH=path))
-    assert got.splitlines() == ["c", " ".join(kernel._BUILDS[-1])]
+    for _ in range(2):
+        [got] = _backends_of(_importer(tmp_path, probe, PATH=path))
+        assert got.splitlines() == ["c", " ".join(kernel._BUILDS[-1])]
+    attempts = log.read_text().splitlines() if log.exists() else []
+    assert len(attempts) == (kernel._cpu_identity() is not None)
     files = [p.name for p in (tmp_path / "stencilpipe").iterdir()]
     assert len(files) == 1 and files[0].endswith(".so"), files
 

@@ -12,10 +12,11 @@ from stencilpipe.decomp import decompose, level_domains_for_rank
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   PipelineError, PipelineTimeout,
-                                  ScheduleError, _first_step, audit_trace,
-                                  build_schedule, default_block_size,
-                                  effective_bounds, instrumented_run,
-                                  may_proceed, run_node_sweeps, trace_csv)
+                                  ScheduleError, TraceEvent, _first_step,
+                                  audit_trace, build_schedule,
+                                  default_block_size, effective_bounds,
+                                  instrumented_run, may_proceed,
+                                  run_node_sweeps, trace_csv)
 from stencilpipe.transport import Aborted
 from stencilpipe.verify import compare, oracle
 
@@ -390,7 +391,7 @@ def test_instrumented_trace_obeys_distances(backends):
         g = allocate(d, "twogrid", FillPattern.random(1))
         trace = instrumented_run(g, cfg, 2)
         assert len(trace) == 2 * cfg.n_threads * sched_blocks, backend
-        assert audit_trace(trace, cfg, n_blocks=sched_blocks) == [], backend
+        assert audit_trace(trace, cfg) == [], backend
 
 
 def test_tight_distances_pin_the_window():
@@ -404,10 +405,23 @@ def test_tight_distances_pin_the_window():
     g = allocate(d, "twogrid", FillPattern.random(2))
     trace = instrumented_run(g, cfg, 1)
     n_blocks = 16
-    assert audit_trace(trace, cfg, n_blocks=n_blocks) == []
+    assert audit_trace(trace, cfg) == []
     for ev in trace:
         if ev.thread > 0 and ev.c_prev < n_blocks:
             assert 1 <= ev.c_prev - ev.c_self <= 2
+
+
+def test_audit_takes_the_block_count_from_the_trace():
+    # Two teams of one thread with team delay 4, three blocks each: the
+    # successor needs a lead of D_l = 5, which it can only have once its
+    # predecessor has finished all three blocks.  The trace's highest
+    # block ordinal tells the audit that three blocks finish a sweep.
+    cfg = PipelineConfig(teams=2, team_size=1, team_delay=4)
+    first = [TraceEvent(0, 0, b, -1, b, 0) for b in range(3)]
+    early = TraceEvent(0, 1, 0, 2, 0, -1)
+    late = [TraceEvent(0, 1, b, 3, b, -1) for b in (1, 2)]
+    assert audit_trace([*first, early, *late], cfg) == [early]
+    assert audit_trace([], cfg) == []
 
 
 def test_trace_csv_format(backends):
@@ -441,8 +455,7 @@ def test_randomized_runs_audit_clean():
         pat = FillPattern.random(rng.randrange(1 << 30))
         g = allocate(d, "twogrid", pat)
         trace = instrumented_run(g, cfg, 2)
-        sched = build_schedule(d, cfg)
-        assert audit_trace(trace, cfg, n_blocks=sched.n_blocks) == []
+        assert audit_trace(trace, cfg) == []
         assert compare(oracle(d, pat, 2 * U), g).bitwise
 
 
@@ -484,7 +497,7 @@ def test_random_pipelines_audit_clean_and_bitwise(data, backends):
         g = allocate(gd, storage, pat, slack=U)   # one sweep down, one up
         trace = instrumented_run(g, cfg, 2)
         assert len(trace) == 2 * cfg.n_threads * n_blocks, backend
-        assert audit_trace(trace, cfg, n_blocks=n_blocks) == [], backend
+        assert audit_trace(trace, cfg) == [], backend
         if sync == "barrier":
             # Lockstep: thread i's block b is barrier step first_i + b.  It
             # starts once every thread has finished the step before, so its
