@@ -36,8 +36,8 @@ pattern.
 A compressed level passes two overlapping views of one array.  The C loop
 follows the ``memmove`` rule: it runs forward when ``dst <= src`` and in
 reverse on all three axes otherwise, so every cell is read before the
-write that lands on it; the numpy body builds its right-hand side before
-it writes.
+write that lands on it; ``update_region`` builds its right-hand side
+before it writes.
 
 ``sweep_naive`` is the correctness oracle for every other engine in the
 package; it runs ``update_region`` whatever the backend.
