@@ -1,7 +1,8 @@
 """The Jacobi region update and the serial sweep variants.
 
 ``update_region`` evaluates the stencil over a box in numpy; the oracle
-(``sweep_naive``) and the Python block loop of the numpy backend call it.
+(``sweep_naive``) and the numpy backend's node sweep, which runs every
+block on the calling thread, call it.
 Under the ``c`` backend (``BACKEND == "c"``) the blocks of every other
 engine go through a compiled library instead.  The C source below is
 compiled at import with the system ``gcc`` for the host CPU

@@ -17,48 +17,44 @@ added at a team's front and rear (:func:`effective_bounds`); this is
 step, pairs it with every other thread j at lead f_i - f_j, where thread
 i's block b is barrier step f_i + b (:func:`_first_step`).
 
-Each thread runs a sweep in one of two loops.  Under the ``c`` backend it
-is one call of the compiled ``sweep_thread`` (:mod:`.kernel`), which holds
-no interpreter lock: it gates, updates and counts every block of the
-thread's sweep in C, on an ``int64`` counter array.  Under ``numpy`` it is
-``_run_sweep_py``, the same loop in Python with the same gate over the
-same pairs.  The two apply the same levels to the same regions through
-the same :func:`_level_views`, so they give the same bits.
+Under the ``c`` backend each node sweep is one
+:func:`~stencilpipe.transport.run_group` whose thread 0 is the calling
+thread, and each thread's sweep is one call of the compiled
+``sweep_thread`` (:mod:`.kernel`), which holds no interpreter lock and
+gates, updates and counts every block in C.  A thread publishes its count
+with a release store after the block's writes and a gating thread reads
+it with an acquire load, so it sees every cell the block wrote.  A thread
+that fails aborts the others, and the run raises :class:`PipelineError`
+naming it.
 
-Visibility.  In the C loop a thread publishes its count with a release
-store after the block's writes, and a thread that gates on it reads it
-with an acquire load, so every cell the block wrote is visible to a
-thread that sees the new count.  In the Python loop the interpreter lock
-orders them: the block update drops the lock only inside the region
-kernel, the thread holds it when it stores its count, and a reader holds
-it when it reads it, so the lock's mutex orders the block's writes before
-any thread that sees the new count.
+Spinning.  A refused C thread checks its gate ``_SPIN_BUDGET`` times,
+then yields before each further check, and ``_SPIN_TIMEOUT`` s after its
+first refusal raises :class:`PipelineTimeout` naming the thread and the
+block.  Every check polls the run's ``int32`` abort flag, so a failure
+elsewhere frees spinning threads.
 
-Spinning.  Under either sync mode a refused thread checks its gate
-``_SPIN_BUDGET`` times, then yields (``sched_yield`` in C,
-``time.sleep(0)`` in Python) before each further check.
-``_SPIN_TIMEOUT`` seconds after its first refusal it gives up with
-:class:`PipelineTimeout` naming the thread and the block.  Every check
-first polls the run's abort flag, an ``int32`` that the C loop reads too,
-so a failure elsewhere frees spinning threads.
+Under ``numpy`` the calling thread runs the whole sweep
+(``_run_sweep_py``): while blocks are left, ``_Runner._pick`` chooses a
+thread whose gate (``_Runner._gate``, the same pairs) passes on its next
+block, by default the lowest, and that thread applies its levels to the
+block and counts it.  A sweep in which no thread may go on raises
+:class:`PipelineTimeout` at once, and a level that raises becomes a
+:class:`PipelineError` naming its thread.  Both backends apply the same
+levels to the same regions through :func:`_level_views`, so they give
+the same bits.
 
-``_Runner`` is the one executor of a schedule: :func:`_level_views` maps a
-time level to storage, ``_begin_sweep`` checks every level's domain
-against its views before any thread writes, and ``_end_sweep`` ends a
-sweep.  Each node sweep is one :func:`~stencilpipe.transport.run_group`
-between the two, on the calling thread, which runs thread 0 itself: a
-thread that fails aborts the others and the run raises
-:class:`PipelineError` naming that thread.  With one thread, one team and
-T levels a node sweep is the serial temporally blocked update, so the
-spatially blocked sweep (T=1) and the serial distributed outer step (T=h)
-are one-thread runs of it, which start no thread.
+``_Runner`` is the one executor of a schedule: ``_begin_sweep`` checks
+every level's domain against its views before any block is written, and
+``_end_sweep`` ends a sweep.  With one thread, one team and T levels a
+node sweep is the serial temporally blocked update, so the spatially
+blocked sweep (T=1) and the serial distributed outer step (T=h) are
+one-thread runs of it, which start no thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import itertools
-import time
 from array import array
 from dataclasses import dataclass
 
@@ -81,7 +77,8 @@ class PipelineError(RuntimeError):
 
 
 class PipelineTimeout(PipelineError):
-    """A thread spun past ``_Runner._SPIN_TIMEOUT`` (deadlock guard)."""
+    """Deadlock guard: a C thread spun past ``_Runner._SPIN_TIMEOUT``, or
+    under ``numpy`` no thread could start its next block."""
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,7 @@ def _rules(cfg: PipelineConfig, i: int) -> list[tuple[int, int]]:
             if 0 <= j < cfg.n_threads]
 
 
-def may_proceed(counters, i: int, cfg: PipelineConfig,
-                n_blocks: int | None = None) -> bool:
+def may_proceed(counters, i: int, cfg: PipelineConfig, n_blocks: int) -> bool:
     """True iff thread i may start its next block under the distance rules.
 
     D_l is the rule that keeps the pipeline race-free: thread i starts a
@@ -180,8 +176,7 @@ def may_proceed(counters, i: int, cfg: PipelineConfig,
     d_l, d_u = effective_bounds(cfg, i)
     if i > 0:
         c_prev = counters[i - 1]
-        done = n_blocks is not None and c_prev >= n_blocks
-        if not done and c_prev - counters[i] < d_l:
+        if c_prev < n_blocks and c_prev - counters[i] < d_l:
             return False
     if i < cfg.n_threads - 1 and counters[i] - counters[i + 1] > d_u:
         return False
@@ -352,10 +347,12 @@ def _addresses(arrays) -> list[int]:
 
 class _Runner:
     """The one schedule executor: runs ``sweeps`` node sweeps of ``cfg``,
-    each as one thread group whose thread 0 is the calling thread."""
+    each under ``c`` as one thread group whose thread 0 is the calling
+    thread, and under ``numpy`` on the calling thread alone."""
 
-    _SPIN_BUDGET = 64        # gate checks before a spinning thread yields
-    _SPIN_TIMEOUT = 30.0     # seconds a refused thread may spin
+    _SPIN_BUDGET = 64        # gate checks before a spinning C thread yields
+    _SPIN_TIMEOUT = 30.0     # seconds a refused C thread may spin
+    _pick = staticmethod(lambda ready: ready[0])   # numpy: the lowest goes
 
     def __init__(self, grid, cfg: PipelineConfig, sweeps: int,
                  level_domains=None, trace=None):
@@ -365,7 +362,7 @@ class _Runner:
         self.trace = trace
         n = cfg.n_threads
         self.counters = (ctypes.c_int64 * n)()
-        self.stop = ctypes.c_int32()      # abort flag, polled by spins
+        self.stop = ctypes.c_int32()      # abort flag, polled by C spins
         self.rules = [_rules(cfg, i) for i in range(n)]
 
         if cfg.storage == "twogrid":
@@ -417,14 +414,16 @@ class _Runner:
             a.faces = ctypes.addressof(self._face_table)
 
     def run(self) -> None:
-        """Every sweep, each one thread group between its begin and end."""
-        sweep_fn = (self._run_sweep_py if self._sweep_fn is None
-                    else self._run_sweep_c)
+        """Every sweep between its begin and end: under ``c`` one thread
+        group, under ``numpy`` one loop on the calling thread."""
         for sweep in range(self.sweeps):
             self._begin_sweep()
-            run_group(self.cfg.n_threads,
-                      lambda i: sweep_fn(i, sweep, self.sched), "pipe",
-                      self._abort, PipelineError)
+            if self._sweep_fn is None:
+                self._run_sweep_py(sweep, self.sched)
+            else:
+                run_group(self.cfg.n_threads,
+                          lambda i: self._run_sweep_c(i, sweep, self.sched),
+                          "pipe", self._abort, PipelineError)
             _end_sweep(self.grid, self.sched)
 
     def _abort(self) -> None:
@@ -510,30 +509,30 @@ class _Runner:
                 snap[j - i + 1] = cj
         return snap
 
-    def _run_sweep_py(self, i: int, sweep: int, sched: BlockSchedule) -> None:
-        """Thread i's sweep in Python, block for block as ``sweep_thread``:
-        gate, levels, then its count."""
-        n_blocks = sched.n_blocks
-        levels = self._levels(i)
-        record = None if self.trace is None else []
-        for b in range(n_blocks):
-            spins = 0
-            while (snap := self._gate(i, b, n_blocks)) is None:
-                if self.stop.value:
-                    raise Aborted
-                if spins == 0:
-                    deadline = time.monotonic() + self._SPIN_TIMEOUT
-                spins += 1
-                if spins > self._SPIN_BUDGET:
-                    time.sleep(0)
-                    if time.monotonic() > deadline:
-                        raise self._stalled(i, b)
-            if record is not None:
-                record += snap
-            _apply_levels(self.grid, sched, sched.order[b], levels)
-            self.counters[i] = b + 1
-        if record is not None:
-            self._trace_sweep(sweep, i, record)
+    def _run_sweep_py(self, sweep: int, sched: BlockSchedule) -> None:
+        """One node sweep on the calling thread: of the threads whose gate
+        passes, the one ``_pick`` chooses does its next block and counts it."""
+        c, n_blocks = self.counters, sched.n_blocks
+        left = list(range(self.cfg.n_threads))
+        records = [[] for _ in left]
+        while left:
+            ready = [(i, snap) for i in left
+                     if (snap := self._gate(i, c[i], n_blocks)) is not None]
+            if not ready:
+                raise self._stalled(left[0], c[left[0]])
+            i, snap = self._pick(ready)
+            records[i] += snap
+            try:
+                _apply_levels(self.grid, sched, sched.order[c[i]],
+                              self._levels(i))
+            except Exception as exc:
+                raise PipelineError(f"pipe {i} failed: {exc!r}") from exc
+            c[i] += 1
+            if c[i] == n_blocks:
+                left.remove(i)
+        if self.trace is not None:
+            for i, record in enumerate(records):
+                self._trace_sweep(sweep, i, record)
 
 
 def run_node_sweeps(grid, cfg: PipelineConfig, sweeps: int,

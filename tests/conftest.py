@@ -35,8 +35,9 @@ def run_bounded():
 class _Backends:
     """Iterating runs the loop body under each backend in turn and yields
     its name: ``"c"`` when the library loaded, then ``"numpy"`` with the
-    loaded sweep and fill functions hidden, so pipelines run the Python
-    block loop and grids fill through ``FillPattern.evaluate``.
+    loaded sweep and fill functions hidden, so a node sweep runs its
+    blocks one at a time on the calling thread, in an order the gate
+    allows, and grids fill through ``FillPattern.evaluate``.
     Iterable again, so a Hypothesis test covers both backends in every
     example."""
 

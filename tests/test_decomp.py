@@ -299,26 +299,21 @@ def test_mis_sized_halo_names_the_receiver(monkeypatch, run_bounded):
 def test_pipeline_failure_in_a_rank_names_rank_and_thread(monkeypatch,
                                                           run_bounded,
                                                           backends):
-    # A 17-cell x split gives rank 0 nine columns and rank 1 eight; pipe-1
-    # of rank 1 raises, rank 0 is torn down waiting for its next halo.
-    # The Python loop fails in pipe-1's block update, the compiled one in
-    # pipe-1's per-sweep call.
+    # A 17-cell x split gives rank 0 nine columns and rank 1 eight; thread
+    # 1 of rank 1 raises, rank 0 is torn down waiting for its next halo.
+    # Under numpy thread 1 fails in its first block update, which applies
+    # level 2 (T=1), under c in its per-sweep call.
     boom = FloatingPointError("boom in rank 1, thread 1")
-
-    def in_rank_1_pipe_1(grid):
-        return (grid.dims.nx == 8
-                and threading.current_thread().name == "pipe-1")
-
     apply_levels = pipeline._apply_levels
     run_sweep_c = pipeline._Runner._run_sweep_c
 
     def failing(grid, sched, blk, levels):
-        if in_rank_1_pipe_1(grid):
+        if grid.dims.nx == 8 and levels[0] == 2:
             raise boom
         apply_levels(grid, sched, blk, levels)
 
     def failing_call(self, i, sweep, sched):
-        if in_rank_1_pipe_1(self.grid):
+        if self.grid.dims.nx == 8 and i == 1:
             raise boom
         run_sweep_c(self, i, sweep, sched)
 

@@ -1,4 +1,4 @@
-"""Race-freedom of the relaxed gate, as a specification.
+"""Race-freedom of the gate, as a specification.
 
 A start/finish model of a node sweep: a thread starts its next block when
 the gate lets it, and bumps its counter when the block is done; which
@@ -11,11 +11,13 @@ writes.
 
 The footprints come from the package's own ``_apply_levels``, run against
 a shadow grid that names each storage view, over the real
-``BlockSchedule``, ``may_proceed``, ``effective_bounds`` and the runner's
-``_levels``.  Once the kernel runs without the interpreter lock, two block
-updates really overlap, so no interleaving the gate allows may clash.
+``BlockSchedule`` and the runner's ``_levels``; the gate is the runner's
+``_gate`` over the (j, lead) pairs of ``_rules``, under either sync mode.
+Once the kernel runs without the interpreter lock, two block updates
+really overlap, so no interleaving the gate allows may clash.
 """
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -23,9 +25,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stencilpipe import pipeline
 from stencilpipe.grid import GridDims
-from stencilpipe.pipeline import (PipelineConfig, ScheduleError,
-                                  build_schedule, effective_bounds,
-                                  may_proceed)
+from stencilpipe.pipeline import (PipelineConfig, ScheduleError, _rules,
+                                  build_schedule)
 
 
 class _Shadow:
@@ -95,27 +96,29 @@ def _clash(p, q) -> bool:
             or any(_overlap(w, x) for w in qw for x in pr))
 
 
-def _gate_without_d_l(counters, i, cfg, n_blocks=None):
-    """``may_proceed`` with the d_l rule dropped: a negative control."""
-    _, d_u = effective_bounds(cfg, i)
-    return i == cfg.n_threads - 1 or counters[i] - counters[i + 1] <= d_u
+def _rules_without_predecessor(cfg, i):
+    """``_rules`` with the pair on thread i - 1 dropped: a negative
+    control."""
+    return [(j, lead) for j, lead in _rules(cfg, i) if j != i - 1]
 
 
-def _count_clashes(cfg, dims, direction, rng, gate=may_proceed) -> int:
+def _count_clashes(cfg, dims, direction, rng, rules=_rules) -> int:
     """Clashes over one random gate-allowed interleaving of a node sweep."""
     sched = build_schedule(dims, cfg, direction=direction)
-    runner = SimpleNamespace(cfg=cfg)
+    counters = [0] * cfg.n_threads
+    runner = SimpleNamespace(cfg=cfg, counters=counters, rules=[
+        rules(cfg, i) for i in range(cfg.n_threads)])
     offset = cfg.levels_per_sweep if direction == -1 else 0
     nb, n = sched.n_blocks, cfg.n_threads
     foot = {(i, b): _footprint(cfg.storage, dims, offset, sched,
                                sched.order[b],
                                pipeline._Runner._levels(runner, i))
             for i in range(n) for b in range(nb)}
-    counters, flying, clashes = [0] * n, {}, 0
+    flying, clashes = {}, 0
     while True:
         steps = [(i, False) for i in flying] + [
-            (i, True) for i in range(n) if i not in flying
-            and counters[i] < nb and gate(counters, i, cfg, nb)]
+            (i, True) for i in range(n) if i not in flying and counters[i] < nb
+            and pipeline._Runner._gate(runner, i, counters[i], nb) is not None]
         if not steps:
             break
         i, start = rng.choice(steps)
@@ -139,6 +142,7 @@ def _sweeps(draw):
                updates_per_thread=draw(st.integers(1, 2)),
                min_dist=draw(st.integers(1, 2)),
                team_delay=draw(st.integers(0, 2)),
+               sync=draw(st.sampled_from(["barrier", "relaxed"])),
                storage=draw(st.sampled_from(["twogrid", "compressed"])))
     cfg["max_dist"] = cfg["min_dist"] + draw(st.integers(0, 3))
     shape = [draw(st.integers(2, 10)) for _ in range(3)]      # (x, y, z)
@@ -162,17 +166,17 @@ def test_gate_allows_no_clash(sweep, seed):
 
 def test_dropping_d_l_lets_blocks_clash():
     rng = random.Random(5)
-    for storage in ("twogrid", "compressed"):
-        for team_delay in (0, 2):
-            cfg = PipelineConfig(teams=2, team_size=2, updates_per_thread=1,
-                                 team_delay=team_delay, block=(8, 4, 4),
-                                 storage=storage)
-            dims = GridDims(8, 8, 8)
-            for direction in (-1, 1):
-                real = sum(_count_clashes(cfg, dims, direction, rng)
-                           for _ in range(10))
-                dropped = sum(_count_clashes(cfg, dims, direction, rng,
-                                            _gate_without_d_l)
-                              for _ in range(10))
-                assert real == 0 and dropped > 0, (storage, team_delay,
-                                                   direction, dropped)
+    for storage, sync, team_delay in itertools.product(
+            ("twogrid", "compressed"), ("barrier", "relaxed"), (0, 2)):
+        cfg = PipelineConfig(teams=2, team_size=2, updates_per_thread=1,
+                             team_delay=team_delay, block=(8, 4, 4),
+                             sync=sync, storage=storage)
+        dims = GridDims(8, 8, 8)
+        for direction in (-1, 1):
+            real = sum(_count_clashes(cfg, dims, direction, rng)
+                       for _ in range(10))
+            dropped = sum(_count_clashes(cfg, dims, direction, rng,
+                                         _rules_without_predecessor)
+                          for _ in range(10))
+            assert real == 0 and dropped > 0, (storage, sync, team_delay,
+                                               direction, dropped)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import (HealthCheck, assume, given, settings,
                         strategies as st)
 
-from stencilpipe import pipeline
-from stencilpipe.decomp import decompose, level_domains_for_rank
+from stencilpipe import kernel, pipeline
+from stencilpipe.decomp import decompose, level_domains_for_rank, local_grid
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   PipelineError, PipelineTimeout,
@@ -17,6 +17,7 @@ from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   default_block_size, effective_bounds,
                                   instrumented_run, may_proceed,
                                   run_node_sweeps, trace_csv)
+from stencilpipe.kernel import update_region
 from stencilpipe.transport import Aborted
 from stencilpipe.verify import compare, oracle
 
@@ -33,21 +34,21 @@ def test_effective_bounds_team_delay():
 
 def test_may_proceed_min_distance():
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=4)
-    assert may_proceed([3, 2], 1, cfg)
-    assert not may_proceed([2, 2], 1, cfg)
+    assert may_proceed([3, 2], 1, cfg, n_blocks=10)
+    assert not may_proceed([2, 2], 1, cfg, n_blocks=10)
 
 
 def test_may_proceed_max_distance():
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=4)
-    assert may_proceed([6, 2], 0, cfg)
-    assert not may_proceed([7, 2], 0, cfg)
+    assert may_proceed([6, 2], 0, cfg, n_blocks=10)
+    assert not may_proceed([7, 2], 0, cfg, n_blocks=10)
 
 
 def test_may_proceed_team_delay_threshold():
     cfg = PipelineConfig(teams=2, team_size=1, min_dist=1, max_dist=16,
                          team_delay=8)
-    assert may_proceed([10, 1], 1, cfg)  # lead 9 == d_l + d_t
-    assert not may_proceed([9, 1], 1, cfg)
+    assert may_proceed([10, 1], 1, cfg, n_blocks=20)  # lead 9 == d_l + d_t
+    assert not may_proceed([9, 1], 1, cfg, n_blocks=20)
 
 
 def test_may_proceed_saturates_at_sweep_end():
@@ -61,12 +62,12 @@ def test_may_proceed_saturates_at_sweep_end():
 
 def test_edge_threads_skip_one_condition():
     cfg = PipelineConfig(teams=1, team_size=3, min_dist=1, max_dist=2)
-    c = [0, 0, 0]
-    assert may_proceed(c, 0, cfg)       # no predecessor
-    assert not may_proceed(c, 1, cfg)   # needs a lead of 1
-    assert not may_proceed(c, 2, cfg)
-    assert may_proceed([5, 4, 3], 2, cfg)       # no successor to overrun
-    assert not may_proceed([9, 6, 3], 1, cfg)   # middle thread still bounded above
+    c, nb = [0, 0, 0], 10
+    assert may_proceed(c, 0, cfg, nb)       # no predecessor
+    assert not may_proceed(c, 1, cfg, nb)   # needs a lead of 1
+    assert not may_proceed(c, 2, cfg, nb)
+    assert may_proceed([5, 4, 3], 2, cfg, nb)       # no successor to overrun
+    assert not may_proceed([9, 6, 3], 1, cfg, nb)   # middle still bounded above
 
 
 def test_config_validation():
@@ -239,27 +240,29 @@ def test_compressed_ghost_refresh_needs_no_pattern(monkeypatch):
 
 
 def test_stalled_thread_times_out(monkeypatch, backends):
-    # Thread 1's gate never opens: the run must end soon after the spin
-    # timeout with an error naming the thread, and leave no worker behind.
-    # The gate reads only counters, and any bounds that keep thread 1
-    # waiting keep thread 0 spinning too, which could then time out first;
-    # so thread 0 never delivers a block, waiting outside the sweep loop
-    # until the run is aborted, and thread 1 spins on a predecessor count
-    # that stays 0.
-    monkeypatch.setattr(pipeline._Runner, "_SPIN_TIMEOUT", 0.2)
+    # Thread 1's gate never opens: the run must end in bounded time with an
+    # error naming the thread, and leave no worker behind.  Under numpy the
+    # gate refuses thread 1, and once thread 0 is done no thread can go on:
+    # the deadlock is raised at once, at the default spin timeout of 30 s.
+    # Under c the gate reads only counters, and any bounds that keep thread
+    # 1 waiting keep thread 0 spinning too, which could then time out
+    # first; so thread 0 never delivers a block, waiting outside the sweep
+    # loop until the run is aborted, and thread 1 spins on a predecessor
+    # count that stays 0 until the spin timeout, shortened to 0.2 s.
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
                          block=(8, 4, 4))
-    loops = {"c": "_run_sweep_c", "numpy": "_run_sweep_py"}
+    run_sweep_c, gate = pipeline._Runner._run_sweep_c, pipeline._Runner._gate
 
-    def idle_front(run_sweep):
-        def run(self, i, sweep, sched):
-            if i == 0:
-                while not self.stop.value:
-                    time.sleep(0.001)
-                raise Aborted
-            run_sweep(self, i, sweep, sched)
-        return run
+    def idle_front(self, i, sweep, sched):
+        if i == 0:
+            while not self.stop.value:
+                time.sleep(0.001)
+            raise Aborted
+        run_sweep_c(self, i, sweep, sched)
+
+    def refuse_1(self, i, b, n_blocks):
+        return None if i == 1 else gate(self, i, b, n_blocks)
 
     for backend in backends:
         g = allocate(d, "twogrid", FillPattern.random(61))
@@ -272,9 +275,11 @@ def test_stalled_thread_times_out(monkeypatch, backends):
                 errors.append(exc)
 
         with monkeypatch.context() as mp:
-            name = loops[backend]
-            mp.setattr(pipeline._Runner, name,
-                       idle_front(getattr(pipeline._Runner, name)))
+            if backend == "c":
+                mp.setattr(pipeline._Runner, "_SPIN_TIMEOUT", 0.2)
+                mp.setattr(pipeline._Runner, "_run_sweep_c", idle_front)
+            else:
+                mp.setattr(pipeline._Runner, "_gate", refuse_1)
             caller = threading.Thread(target=run, daemon=True)
             caller.start()
             caller.join(timeout=5.0)
@@ -288,18 +293,18 @@ def test_stalled_thread_times_out(monkeypatch, backends):
 @pytest.mark.parametrize("sync", ["barrier", "relaxed"])
 def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
                                          storage, backends):
-    # pipe-1 fails while thread 0 waits ahead of it (d_u = 1, or the
-    # barrier) and thread 2 behind it; both must be torn down, not
-    # reported.  In the Python loop pipe-1 raises on its third block.  In
-    # the compiled one its whole sweep is one call, which is replaced by
-    # one that raises once thread 0 has done a block, so that the others
+    # Thread 1 fails while thread 0 waits ahead of it (d_u = 1, or the
+    # barrier) and thread 2 behind it; neither may be reported.  Under
+    # numpy thread 1, the one that applies level 2 (T=1), raises on its
+    # third block.  Under c its whole sweep is one call, which is replaced
+    # by one that raises once thread 0 has done a block, so that the others
     # spin inside C and only the abort flag can free them.
     boom = FloatingPointError("boom in worker")
     apply_levels = pipeline._apply_levels
     calls = []
 
     def failing(grid, sched, blk, levels):
-        if threading.current_thread().name == "pipe-1":
+        if levels[0] == 2:
             calls.append(blk)
             if len(calls) == 3:
                 raise boom
@@ -308,7 +313,7 @@ def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
     run_sweep_c = pipeline._Runner._run_sweep_c
 
     def failing_call(self, i, sweep, sched):
-        if threading.current_thread().name == "pipe-1":
+        if i == 1:
             while self.counters[0] == 0:
                 time.sleep(0.001)
             time.sleep(0.02)
@@ -332,6 +337,23 @@ def test_worker_failure_names_the_thread(monkeypatch, run_bounded, sync,
         assert isinstance(err, PipelineError)
         assert str(err).startswith("pipe 1 failed: FloatingPointError")
         assert err.__cause__ is boom
+
+
+def test_numpy_sweep_runs_on_the_calling_thread(monkeypatch):
+    # Under numpy a three-thread node sweep forms no thread group: the
+    # calling thread runs every block.
+    def refuse(*args):
+        raise AssertionError("run_group called under numpy")
+
+    monkeypatch.setattr(kernel, "_c_sweep", None)
+    monkeypatch.setattr(pipeline, "run_group", refuse)
+    d = GridDims(12, 12, 12)
+    pat = FillPattern.random(89)
+    cfg = PipelineConfig(teams=1, team_size=3, updates_per_thread=1,
+                         block=(12, 4, 4))
+    g = allocate(d, "twogrid", pat)
+    run_node_sweeps(g, cfg, 2)
+    assert compare(oracle(d, pat, 6), g).bitwise
 
 
 def test_storage_mismatch_rejected():
@@ -459,12 +481,29 @@ def test_randomized_runs_audit_clean():
         assert compare(oracle(d, pat, 2 * U), g).bitwise
 
 
-@settings(max_examples=100, deadline=None,
+def _levelwise(grid, domains, sweeps: int):
+    """Two-grid ``grid`` after ``sweeps`` node sweeps over ``domains``, each
+    level applied over its whole domain at once: no schedule at all."""
+    for _ in range(sweeps):
+        for tau, (lo, hi) in enumerate(domains, 1):
+            _, src, dst = pipeline._level_views(grid, -1, tau)
+            update_region(src, dst, grid.dims.ghost, lo, hi)
+        if len(domains) % 2:
+            grid.swap()
+    return grid
+
+
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_random_pipelines_audit_clean_and_bitwise(data, backends):
+def test_random_pipelines_audit_clean_and_bitwise(data, backends,
+                                                  monkeypatch):
     # The compiled gate against may_proceed, through audit_trace, and every
-    # storage and sync mode against the oracle, on both backends.
+    # storage and sync mode against a reference, on both backends.  Under
+    # numpy a seeded chooser picks which ready thread does its next block,
+    # so every example also runs one more order of the blocks the gate
+    # allows.  A two-grid example may run one rank of a two-rank z split,
+    # whose level domains reach into the ghost shell.
     teams = data.draw(st.integers(1, 2), label="teams")
     t = data.draw(st.integers(1, 3), label="team size")
     T = data.draw(st.integers(1, 2), label="T")
@@ -479,23 +518,43 @@ def test_random_pipelines_audit_clean_and_bitwise(data, backends):
     delay = data.draw(st.integers(0, 3), label="team delay")
     U = teams * t * T
     dims = data.draw(st.tuples(*[st.integers(1, 12)] * 3), label="(nx, ny, nz)")
+    ranked = (storage == "twogrid"
+              and data.draw(st.booleans(), label="rank domains"))
+    if ranked:
+        dims = (*dims[:2], data.draw(st.integers(2 * U, 2 * U + 4),
+                                     label="global nz"))
     block = tuple(data.draw(st.integers(max(1, min(U, n)), n + 2),
                             label="block") for n in dims)
     cfg = PipelineConfig(teams=teams, team_size=t, updates_per_thread=T,
                          min_dist=d_l, max_dist=d_u, team_delay=delay,
                          sync=sync, storage=storage, block=block)
     gd = GridDims(*dims)
+    pat = FillPattern.random(data.draw(st.integers(0, 1 << 30), label="seed"))
+    if ranked:
+        decomp = decompose(gd, 2, (1, 1, 2), U)
+        rank = data.draw(st.integers(0, 1), label="rank")
+        domains = level_domains_for_rank(decomp, rank, U)
+        gd = decomp.local_dims(rank)
+        fresh = lambda: local_grid(decomp, rank, pat)   # noqa: E731
+        ref = _levelwise(fresh(), domains, 2).current
+    else:
+        domains = None
+        fresh = lambda: allocate(gd, storage, pat, slack=U)   # noqa: E731
+        ref = oracle(gd, pat, 2 * U)
     directions = (-1, 1) if storage == "compressed" else (-1,)
     try:
-        scheds = [build_schedule(gd, cfg, direction=s) for s in directions]
+        scheds = [build_schedule(gd, cfg, domains, s) for s in directions]
     except ScheduleError:
         assume(False)
     n_blocks = scheds[0].n_blocks
-    pat = FillPattern.random(data.draw(st.integers(0, 1 << 30), label="seed"))
-    ref = oracle(gd, pat, 2 * U)
+    # Only the numpy sweep picks; the c threads race for real.
+    pick_seed = data.draw(st.integers(0, 2**32 - 1), label="pick seed")
+    monkeypatch.setattr(pipeline._Runner, "_pick",
+                        random.Random(pick_seed).choice)
     for backend in backends:
-        g = allocate(gd, storage, pat, slack=U)   # one sweep down, one up
-        trace = instrumented_run(g, cfg, 2)
+        g = fresh()         # compressed: one sweep down, one up
+        trace = []
+        pipeline._Runner(g, cfg, 2, level_domains=domains, trace=trace).run()
         assert len(trace) == 2 * cfg.n_threads * n_blocks, backend
         assert audit_trace(trace, cfg) == [], backend
         if sync == "barrier":
@@ -509,7 +568,7 @@ def test_random_pipelines_audit_clean_and_bitwise(data, backends):
                             - _first_step(cfg, ev.thread - 1))
                     assert (min(n_blocks, ev.block + lead) <= ev.c_prev
                             <= min(n_blocks, ev.block + lead + 1)), (backend, ev)
-        assert compare(ref, g).bitwise, backend
+        assert compare(ref, g.current if ranked else g).bitwise, backend
 
 
 @pytest.mark.parametrize("reach", ["low", "high"])
