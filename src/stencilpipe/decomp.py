@@ -15,6 +15,7 @@ transitively without diagonal messages.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,11 +46,15 @@ def _split(extent: int, parts: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Hashable, so per-rank geometry can be memoized on it; a list
+    ``layout`` is stored as a tuple."""
+
     global_dims: GridDims
     layout: tuple[int, int, int]          # (px, py, pz)
     halo: int
 
     def __post_init__(self):
+        object.__setattr__(self, "layout", tuple(self.layout))
         px, py, pz = self.layout
         if min(px, py, pz) < 1:
             raise DecompositionError(f"bad layout {self.layout}")
@@ -154,10 +159,17 @@ def exchange_halos(grid: TwoGrid, decomp: Decomposition, rank: int,
             inject_layers(grid, "-+"[side] + name, h, buf, ext)
 
 
+_DOMAINS = 256       # distinct (decomposition, rank, h) kept per process
+
+
+@functools.lru_cache(maxsize=_DOMAINS)
 def level_domains_for_rank(decomp: Decomposition, rank: int,
-                           h: int) -> list[tuple[tuple, tuple]]:
+                           h: int) -> tuple[tuple[tuple, tuple], ...]:
     """Shrinking extended domains: level s reaches h-s layers into the
-    ghost shell on every side with a neighbor, clamped at physical walls."""
+    ghost shell on every side with a neighbor, clamped at physical walls.
+
+    Computed once per process for each (decomp, rank, h); every call
+    returns the same tuple."""
     shape = decomp.local_dims(rank).shape
     has_low = [decomp.neighbor(rank, d, high=False) is not None for d in range(3)]
     has_high = [decomp.neighbor(rank, d, high=True) is not None for d in range(3)]
@@ -167,7 +179,7 @@ def level_domains_for_rank(decomp: Decomposition, rank: int,
         lo = tuple(-m if has_low[d] else 0 for d in range(3))
         hi = tuple(shape[d] + (m if has_high[d] else 0) for d in range(3))
         domains.append((lo, hi))
-    return domains
+    return tuple(domains)
 
 
 def _check_config(cfg: PipelineConfig, h: int) -> None:

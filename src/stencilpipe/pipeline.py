@@ -45,7 +45,10 @@ the same bits.
 
 ``_Runner`` is the one executor of a schedule: ``_begin_sweep`` checks
 every level's domain against its views before any block is written, and
-``_end_sweep`` ends a sweep.  With one thread, one team and T levels a
+``_end_sweep`` ends a sweep.  Schedules are immutable and built once per
+process for each distinct (level domains, block, direction), which is all
+a schedule depends on; :func:`build_schedule` hands every run the same
+shared object, so a run pays no schedule construction after the first.  With one thread, one team and T levels a
 node sweep is the serial temporally blocked update, so the spatially
 blocked sweep (T=1) and the serial distributed outer step (T=h) are
 one-thread runs of it, which start no thread.
@@ -54,6 +57,7 @@ one-thread runs of it, which start no thread.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -195,6 +199,11 @@ class BlockSchedule:
     exactly when every chain is non-decreasing, which the constructor
     checks.  Block order is lexicographic (z outer, y middle, x inner),
     reversed when direction is +1.
+
+    A schedule is immutable: ``order`` and every chain are tuples, and the
+    flat arrays the compiled sweep reads are never written after
+    ``__init__``, so :func:`build_schedule` can share one object between
+    runs and threads.
     """
 
     def __init__(self, level_domains, block, direction: int):
@@ -208,23 +217,24 @@ class BlockSchedule:
         sizes = (None,) * 3 if block is None else block[::-1]  # array order
         interior = [range(base_lo[d] + b, base_hi[d], b) if b else ()
                     for d, b in enumerate(sizes)]
-        self._cuts = []
+        cuts = []
         for tau, (dom_lo, dom_hi) in enumerate(level_domains, 1):
             shift = direction * (tau - 1)
-            chains = tuple([dom_lo[d], *(e + shift for e in interior[d]), dom_hi[d]]
+            chains = tuple((dom_lo[d], *(e + shift for e in interior[d]), dom_hi[d])
                            for d in range(3))
             for d, c in enumerate(chains):
-                if c != sorted(c):
+                if list(c) != sorted(c):
                     raise ScheduleError(
                         f"level {tau}: shifted block edges escape domain "
                         f"(dim {d}, shift {shift}); shrink U or enlarge blocks")
-            self._cuts.append(chains)
-        self.order = list(itertools.product(*(range(len(e) + 1) for e in interior)))
-        if direction == 1:
-            self.order.reverse()
+            cuts.append(chains)
+        self._cuts = tuple(cuts)
+        order = itertools.product(*(range(len(e) + 1) for e in interior))
+        self.order = tuple(reversed(list(order))) if direction == 1 else tuple(order)
         # The same schedule as flat int64 arrays, for the compiled sweep:
         # every chain's cuts end to end, where each (level, axis) chain
         # starts in them, and the block order as rows of (iz, iy, ix).
+        # Schedules are shared, so nothing writes to these after this.
         chains = [c for level in self._cuts for c in level]
         self.cut_array = array("q", itertools.chain.from_iterable(chains))
         self.chain_starts = array("q", itertools.accumulate(
@@ -247,20 +257,37 @@ class BlockSchedule:
         return tuple(c[0] for c in chains), tuple(c[-1] for c in chains)
 
 
+_SCHEDULES = 256     # distinct schedules kept per process
+
+
+@functools.lru_cache(maxsize=_SCHEDULES)
+def _schedule(level_domains, block, direction: int) -> BlockSchedule:
+    """The one shared schedule of a geometry; a geometry that raises is
+    not cached, so it raises again on every call."""
+    return BlockSchedule(level_domains, block, direction)
+
+
 def build_schedule(dims: GridDims, cfg: PipelineConfig,
                    level_domains=None, direction: int = -1) -> BlockSchedule:
     """Schedule for one node sweep.
 
     ``level_domains`` (one (lo, hi) pair per time level, array axis order)
     defaults to the plain interior at every level; distributed outer steps
-    pass the shrinking extended domains instead.
+    pass the shrinking extended domains instead.  A schedule depends only
+    on the domains, ``cfg.block`` and ``direction``, so each distinct
+    triple is built once per process and the same immutable object is
+    returned to every caller, whatever the sync mode, storage or team
+    shape of ``cfg``.
     """
     U = cfg.levels_per_sweep
     if level_domains is None:
-        level_domains = [((0, 0, 0), dims.shape)] * U
+        level_domains = (((0, 0, 0), dims.shape),) * U
     elif len(level_domains) != U:
         raise ScheduleError(f"need {U} level domains, got {len(level_domains)}")
-    return BlockSchedule(level_domains, cfg.block, direction)
+    else:
+        level_domains = tuple((tuple(lo), tuple(hi)) for lo, hi in level_domains)
+    block = None if cfg.block is None else tuple(cfg.block)
+    return _schedule(level_domains, block, direction)
 
 
 @dataclass

@@ -175,6 +175,29 @@ def test_level_domains_shrink_toward_interior():
     assert doms[2] == ((0, 0, 0), (24, 24, 12))
 
 
+def test_level_domains_are_memoized():
+    gd = GridDims(24, 24, 24)
+    doms = level_domains_for_rank(decompose(gd, 2, (2, 1, 1), halo=3), 0, 3)
+    again = level_domains_for_rank(decompose(gd, 2, (2, 1, 1), halo=3), 0, 3)
+    assert type(doms) is tuple and again == doms and again is doms
+
+
+def test_decomposition_with_a_list_layout(backends):
+    gd = GridDims(12, 10, 8)
+    d = Decomposition(gd, [2, 1, 1], 2)
+    assert d.layout == (2, 1, 1)
+    assert d == Decomposition(gd, (2, 1, 1), 2)
+    assert hash(d) == hash(Decomposition(gd, (2, 1, 1), 2))
+    assert level_domains_for_rank(d, 1, 2)[0] == ((0, 0, -1), (8, 10, 6))
+    pat = FillPattern.random(61)
+    ref = oracle(gd, pat, 4).interior()
+    for backend in backends:
+        gathered, _ = run_distributed(gd, pat, [2, 1, 1],
+                                      PipelineConfig(updates_per_thread=2),
+                                      outer_steps=2)
+        assert compare(ref, gathered).bitwise, backend
+
+
 def test_outer_step_requires_matching_halo():
     gd = GridDims(16, 16, 16)
     d = decompose(gd, 2, (2, 1, 1), halo=4)

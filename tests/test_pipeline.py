@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import (HealthCheck, assume, given, settings,
                         strategies as st)
 
 from stencilpipe import kernel, pipeline
-from stencilpipe.decomp import decompose, level_domains_for_rank, local_grid
+from stencilpipe.decomp import (decompose, level_domains_for_rank, local_grid,
+                                run_distributed)
 from stencilpipe.grid import FillPattern, GridDims, GridError, allocate
 from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   PipelineError, PipelineTimeout,
@@ -171,7 +173,83 @@ def test_reverse_order_for_forward_shift():
                          block=(8, 4, 4))
     fwd = build_schedule(d, cfg, direction=-1)
     rev = build_schedule(d, cfg, direction=1)
-    assert rev.order == list(reversed(fwd.order))
+    assert rev.order == tuple(reversed(fwd.order))
+
+
+def test_build_schedule_shares_one_immutable_object():
+    # A schedule depends on the level domains, the block and the direction
+    # alone: sync mode, storage, team shape and the domains' container
+    # do not make a new one.
+    d = GridDims(12, 12, 12)
+    relaxed = PipelineConfig(team_size=2, updates_per_thread=1,
+                             block=(12, 4, 4))
+    interior = ((0, 0, 0), (12, 12, 12))
+    sched = build_schedule(d, relaxed)
+    for cfg, domains in (
+            (relaxed, [interior] * 2),
+            (relaxed, ([[0, 0, 0], [12, 12, 12]],) * 2),
+            (PipelineConfig(team_size=2, updates_per_thread=1,
+                            block=[12, 4, 4]), None),
+            (PipelineConfig(updates_per_thread=2, sync="barrier",
+                            block=(12, 4, 4)), (interior,) * 2),
+            (PipelineConfig(team_size=2, updates_per_thread=1,
+                            block=(12, 4, 4), storage="compressed"), None)):
+        assert build_schedule(d, cfg, domains) is sched, (cfg, domains)
+    up = build_schedule(d, relaxed, direction=1)
+    assert up is not sched and up is build_schedule(d, relaxed, None, 1)
+    assert type(sched.order) is tuple and type(sched._cuts) is tuple
+    assert all(type(level) is tuple and type(chain) is tuple
+               for level in sched._cuts for chain in level)
+
+
+def test_invalid_schedule_raises_on_every_call():
+    # Errors are not memoized: a repeat of a bad geometry raises again.
+    d = GridDims(16, 16, 16)
+    cfg = PipelineConfig(teams=2, team_size=2, updates_per_thread=2,
+                         block=(16, 2, 2))
+    for _ in range(2):
+        with pytest.raises(ScheduleError):
+            build_schedule(d, cfg)
+        with pytest.raises(ScheduleError):
+            run_node_sweeps(allocate(d, "twogrid", FillPattern.constant(0.0)),
+                            cfg, 1)
+
+
+def test_engines_share_schedules_and_stay_bitwise(monkeypatch, backends):
+    # pipeline, pipeline_barrier and compressed on one grid size, back to
+    # back, as perfbench runs them: the three down sweeps share one
+    # schedule, and sharing changes no bit.  Then two distributed runs in
+    # a row, whose ranks reuse the first run's domains and schedules.
+    d = GridDims(20, 20, 20)
+    pat = FillPattern.random(83)
+    relaxed = PipelineConfig(team_size=2, updates_per_thread=2)
+    relaxed = replace(relaxed, block=default_block_size(d, relaxed))
+    U = relaxed.levels_per_sweep
+    built = []
+    real = pipeline.build_schedule
+
+    def record(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_schedule", record)
+    ref = oracle(d, pat, 2 * U)
+    for backend in backends:
+        for cfg in (relaxed, replace(relaxed, sync="barrier"),
+                    replace(relaxed, storage="compressed")):
+            del built[:]
+            g = allocate(d, cfg.storage, pat, slack=U)
+            run_node_sweeps(g, cfg, 2)
+            assert compare(ref, g).bitwise, (backend, cfg)
+            assert built[0] is real(d, relaxed), (backend, cfg)
+    d = GridDims(12, 10, 18)
+    cfg = PipelineConfig(team_size=2, updates_per_thread=1, block=(12, 4, 4))
+    for backend in backends:
+        for seed in (5, 6):
+            pat = FillPattern.random(seed)
+            gathered, _ = run_distributed(d, pat, (1, 1, 3), cfg, 2)
+            ref = oracle(d, pat, 2 * cfg.levels_per_sweep).interior()
+            assert compare(ref, gathered).bitwise, (backend, seed)
 
 
 def test_single_thread_pipeline_matches_oracle(backends):
