@@ -45,13 +45,15 @@ the same bits.
 
 ``_Runner`` is the one executor of a schedule: ``_begin_sweep`` checks
 every level's domain against its views before any block is written, and
-``_end_sweep`` ends a sweep.  Schedules are immutable and built once per
-process for each distinct (level domains, block, direction), which is all
-a schedule depends on; :func:`build_schedule` hands every run the same
-shared object, so a run pays no schedule construction after the first.  With one thread, one team and T levels a
+``_end_sweep`` ends a sweep.  With one thread, one team and T levels a
 node sweep is the serial temporally blocked update, so the spatially
 blocked sweep (T=1) and the serial distributed outer step (T=h) are
 one-thread runs of it, which start no thread.
+
+Schedules are immutable and built once per process for each distinct
+(level domains, block, direction), which is all a schedule depends on:
+:func:`build_schedule` hands every run the same shared object, so only
+the first run of a geometry pays for its construction.
 """
 
 from __future__ import annotations
@@ -229,12 +231,11 @@ class BlockSchedule:
                         f"(dim {d}, shift {shift}); shrink U or enlarge blocks")
             cuts.append(chains)
         self._cuts = tuple(cuts)
-        order = itertools.product(*(range(len(e) + 1) for e in interior))
-        self.order = tuple(reversed(list(order))) if direction == 1 else tuple(order)
+        order = tuple(itertools.product(*(range(len(e) + 1) for e in interior)))
+        self.order = order[::-1] if direction == 1 else order
         # The same schedule as flat int64 arrays, for the compiled sweep:
         # every chain's cuts end to end, where each (level, axis) chain
         # starts in them, and the block order as rows of (iz, iy, ix).
-        # Schedules are shared, so nothing writes to these after this.
         chains = [c for level in self._cuts for c in level]
         self.cut_array = array("q", itertools.chain.from_iterable(chains))
         self.chain_starts = array("q", itertools.accumulate(
@@ -273,11 +274,8 @@ def build_schedule(dims: GridDims, cfg: PipelineConfig,
 
     ``level_domains`` (one (lo, hi) pair per time level, array axis order)
     defaults to the plain interior at every level; distributed outer steps
-    pass the shrinking extended domains instead.  A schedule depends only
-    on the domains, ``cfg.block`` and ``direction``, so each distinct
-    triple is built once per process and the same immutable object is
-    returned to every caller, whatever the sync mode, storage or team
-    shape of ``cfg``.
+    pass the shrinking extended domains instead.  Each distinct (domains,
+    ``cfg.block``, ``direction``) is built once per process and shared.
     """
     U = cfg.levels_per_sweep
     if level_domains is None:

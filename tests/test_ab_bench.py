@@ -32,6 +32,7 @@ def test_fold_counts_wins_by_direction():
     assert (setup["wins"], setup["losses"], setup["ties"]) == (3, 1, 1)
     assert mlups["n"] == setup["n"] == 5
     assert (mlups["parent"], mlups["change"]) == (100, 110)
+    assert mlups["parent_iqr"] == 0
     assert mlups["ratio"] == pytest.approx(1.10)
     assert setup["ratio"] == pytest.approx(0.9)
     assert mlups["p"] == pytest.approx(2 * 6 / 32)     # 1 of 5 lost
@@ -51,8 +52,15 @@ def test_fold_counts_and_lists_a_failed_pair():
     mlups = folded["metrics"]["dist_mlups"]
     assert mlups["n"] == 2 and mlups["wins"] == 2
     assert mlups["change"] == pytest.approx(112.5)
+    assert folded["metrics"]["setup_s"]["parent_iqr"] == 0
     text = ab_bench.report(folded)
     assert "bad pairs: 3 of 5" in text and "pair 2 change: 2 failed" in text
+
+
+def test_fold_reports_the_spread_of_the_parent_runs():
+    pairs = [(_result(m, 1.0), _result(m + 1, 1.0)) for m in (112, 100, 108, 104)]
+    mlups = ab_bench.fold(pairs, BETTER)["metrics"]["dist_mlups"]
+    assert mlups["parent"] == 106 and mlups["parent_iqr"] == pytest.approx(10)
 
 
 def test_sign_test_is_exact_and_two_sided():

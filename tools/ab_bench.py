@@ -10,12 +10,13 @@ exit) and runs ``perfbench/run.py --workload W --seed S --seconds X
 --trace 0`` there and in this checkout's working tree, ``--pairs`` times
 each.  The side that runs first alternates from pair to pair, so drift of
 the host favours neither.  Per end-to-end metric it prints the parent and
-change medians, the median change/parent ratio, the change's wins out of
-the pairs (the direction is each metric's ``better`` in
-``BENCHMARK.json``) and an exact two-sided sign-test p, ties left out
-(Kalibera & Jones, ISMM'13, for paired runs).  A pair in which either side
-is not correct, reports failed operations or gives no result is counted
-and listed, and left out of every statistic.  Standard library only.
+change medians, the spread of the parent's runs (q3 - q1), the median
+change/parent ratio, the change's wins out of the pairs (the direction is
+each metric's ``better`` in ``BENCHMARK.json``) and an exact two-sided
+sign-test p, ties left out (Kalibera & Jones, ISMM'13, for paired runs).
+A pair in which either side is not correct, reports failed operations or
+gives no result is counted and listed, and left out of every statistic.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -83,9 +84,12 @@ def fold(pairs, better: dict) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in seen)
         losses = sum(sign * (c - p) < 0 for p, c in seen)
         ratios = [c / p for p, c in seen if p]
+        base = [p for p, _ in seen]
+        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (
+            base * 3)
         metrics[name] = {
             "n": len(seen),
-            "parent": statistics.median(p for p, _ in seen),
+            "parent": statistics.median(base), "parent_iqr": q3 - q1,
             "change": statistics.median(c for _, c in seen),
             "ratio": statistics.median(ratios) if ratios else None,
             "wins": wins, "losses": losses,
@@ -96,12 +100,13 @@ def fold(pairs, better: dict) -> dict:
 
 
 def report(folded: dict) -> str:
-    lines = [f"{'metric':<24} {'parent':>10} {'change':>10} {'ratio':>7} "
-             f"{'wins':>7} {'p':>7}"]
+    lines = [f"{'metric':<24} {'parent':>10} {'iqr':>9} {'change':>10} "
+             f"{'ratio':>7} {'wins':>7} {'p':>7}"]
     for name, m in folded["metrics"].items():
         ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
-        lines.append(f"{name:<24} {m['parent']:>10.4g} {m['change']:>10.4g} "
-                     f"{ratio:>7} {m['wins']:>3}/{m['n']:<3} {m['p']:>7.3g}")
+        lines.append(f"{name:<24} {m['parent']:>10.4g} "
+                     f"{m['parent_iqr']:>9.3g} {m['change']:>10.4g} {ratio:>7} "
+                     f"{m['wins']:>3}/{m['n']:<3} {m['p']:>7.3g}")
     bad = folded["bad"]
     lines.append(f"bad pairs: {len(bad)} of {folded['pairs']}"
                  + "".join(f"\n  pair {k + 1} {side}: {why}"
