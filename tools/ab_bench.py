@@ -118,7 +118,7 @@ def run(tree: Path, args) -> dict | None:
     """One untraced perfbench run in ``tree``; its result, or None."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0"] + (["--tiny"] if args.tiny else [])
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -134,18 +134,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--tiny", action="store_true",
-                    help="perfbench's self-test size")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         parent = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(parent), args.rev)
+        sides = {"parent": parent, "change": ROOT}
         try:
             pairs = []
             for k in range(args.pairs):
-                sides = {"parent": parent, "change": ROOT}
                 order = ("parent", "change") if k % 2 == 0 else ("change",
                                                                  "parent")
                 res = {side: run(sides[side], args) for side in order}
