@@ -127,6 +127,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sweeps", type=int, default=2, help="node sweeps to run")
 
 
+def _pipeline_grid(dims: GridDims, pattern: FillPattern, cfg: PipelineConfig):
+    """A fresh grid for ``cfg``.  A compressed sweep moves the origin one node
+    sweep down, or up when there is no room below, so one node sweep of
+    slack serves every sweep, the warmup's too."""
+    slack = cfg.levels_per_sweep if cfg.storage == "compressed" else 0
+    return allocate(dims, cfg.storage, pattern, slack=slack)
+
+
 def _run_variant(variant: str, dims: GridDims, pattern: FillPattern,
                  cfg: PipelineConfig, sweeps: int) -> tuple[object, int, float]:
     """Allocate, warm up, run timed; returns (grid, updates, seconds).
@@ -135,11 +143,7 @@ def _run_variant(variant: str, dims: GridDims, pattern: FillPattern,
     """
     interior = dims.nx * dims.ny * dims.nz
     if variant == "pipeline":
-        # Each compressed sweep moves the origin one node sweep down, or up
-        # when there is no room below, so one node sweep of slack serves
-        # the warmup and the timed call.
-        slack = cfg.levels_per_sweep if cfg.storage == "compressed" else 0
-        grid = allocate(dims, cfg.storage, pattern, slack=slack)
+        grid = _pipeline_grid(dims, pattern, cfg)
         run_node_sweeps(grid, cfg, 1)  # warmup, untimed
         start = time.monotonic()
         run_node_sweeps(grid, cfg, sweeps)
@@ -199,8 +203,7 @@ def cmd_verify(args) -> int:
     dims = _dims(args)
     pattern = _pattern(args)
     cfg = _config(args, dims)
-    slack = cfg.levels_per_sweep if cfg.storage == "compressed" else 0
-    grid = allocate(dims, cfg.storage, pattern, slack=slack)
+    grid = _pipeline_grid(dims, pattern, cfg)
     run_node_sweeps(grid, cfg, args.sweeps)
     ref = oracle(dims, pattern, args.sweeps * cfg.levels_per_sweep)
     cmp = compare(ref, grid)

@@ -12,10 +12,11 @@ modes are one rule on those counts, data built once per run by
 
 Relaxed sync pairs thread i with its predecessor at lead D_l and with its
 successor at lead -D_u, D_l and D_u being d_l and d_u with the team delay
-added at a team's front and rear (:func:`effective_bounds`); this is
-:func:`may_proceed`.  Barrier sync, a global barrier after each block
-step, pairs it with every other thread j at lead f_i - f_j, where thread
-i's block b is barrier step f_i + b (:func:`_first_step`).
+added at a team's front and rear (:func:`effective_bounds`).  Barrier
+sync, a global barrier after each block step, pairs it with every other
+thread j at lead f_i - f_j, where thread i's block b is barrier step
+f_i + b (:func:`_first_step`).  :func:`_gate` evaluates the pairs in
+Python, and its mirror, the compiled ``gate``, in C.
 
 Under the ``c`` backend each node sweep is one
 :func:`~stencilpipe.transport.run_group` whose thread 0 is the calling
@@ -35,9 +36,8 @@ elsewhere frees spinning threads.
 
 Under ``numpy`` the calling thread runs the whole sweep
 (``_run_sweep_py``): while blocks are left, ``_Runner._pick`` chooses a
-thread whose gate (``_Runner._gate``, the same pairs) passes on its next
-block, by default the lowest, and that thread applies its levels to the
-block and counts it.  A sweep in which no thread may go on raises
+thread whose :func:`_gate` passes on its next block, by default the
+lowest, and that thread applies its levels to the block and counts it.  A sweep in which no thread may go on raises
 :class:`PipelineTimeout` at once, and a level that raises becomes a
 :class:`PipelineError` naming its thread.  Both backends apply the same
 levels to the same regions through :func:`_level_views`, so they give
@@ -97,9 +97,9 @@ class PipelineConfig:
     predecessor and ``max_dist`` (d_u) the most it may run ahead of its
     successor; ``team_delay`` (d_t) adds blocks to both across each boundary
     between teams (:func:`effective_bounds`).  ``sync`` is ``"relaxed"``,
-    where each thread gates on its neighbors' counters by the rule of
-    :func:`may_proceed`, or ``"barrier"``, where all threads meet at one
-    barrier after each block step.  Lockstep under barrier sync keeps each
+    where each thread gates on its neighbors' counters, or ``"barrier"``,
+    where all threads meet at one barrier after each block step; both are
+    the gate of :func:`_rules`.  Lockstep under barrier sync keeps each
     thread exactly one block behind its predecessor, plus the team delay
     at a team's front, so ``min_dist`` and ``max_dist`` act only under
     relaxed sync.  ``block`` is (bx, by, bz), or None for the whole domain;
@@ -153,7 +153,16 @@ def _first_step(cfg: PipelineConfig, i: int) -> int:
 
 def _rules(cfg: PipelineConfig, i: int) -> list[tuple[int, int]]:
     """Thread i's gate as (j, lead) pairs: it may start block b once each
-    thread j has finished its sweep or has ``c[j] - b >= lead``."""
+    thread j has finished its sweep or has ``c[j] - b >= lead``.
+
+    The predecessor's lead (D_l when relaxed) keeps the pipeline
+    race-free: thread i starts a block only once its predecessor has
+    written every cell it reads and no longer reads a cell it overwrites.
+    The successor's -D_u only bounds the spread, for cache reuse.  A
+    finished thread satisfies every pair, since every value it could be
+    read for exists; else a team delay larger than the predecessor's
+    remaining blocks would deadlock the pipeline.
+    """
     if cfg.sync == "barrier":
         f = _first_step(cfg, i)
         return [(j, f - _first_step(cfg, j))
@@ -163,30 +172,27 @@ def _rules(cfg: PipelineConfig, i: int) -> list[tuple[int, int]]:
             if 0 <= j < cfg.n_threads]
 
 
+def _gate(counters, pairs, i: int, b: int, n_blocks: int):
+    """The compiled ``gate``, in Python: the (c_prev, c_self, c_next) on
+    which thread i may start block b under ``pairs`` (from :func:`_rules`),
+    with -1 for a neighbour it does not wait on; None while it must wait.
+    Only the counters of the threads in ``pairs`` are read."""
+    snap = [-1, b, -1]
+    for j, lead in pairs:
+        cj = counters[j]
+        if cj < n_blocks and cj - b < lead:
+            return None
+        if abs(j - i) == 1:
+            snap[j - i + 1] = cj
+    return snap
+
+
 def may_proceed(counters, i: int, cfg: PipelineConfig, n_blocks: int) -> bool:
-    """True iff thread i may start its next block under the distance rules.
-
-    D_l is the rule that keeps the pipeline race-free: thread i starts a
-    block only once its predecessor has written every cell it reads and
-    no longer reads a cell it overwrites.  D_u only bounds the spread
-    between threads, for cache reuse; no result depends on it.
-
-    Only ``counters[i-1]``, ``counters[i]`` and ``counters[i+1]`` are read,
-    so a mapping of those three threads serves as well as the full list.
-    The race-avoidance condition saturates at the end of a sweep: once the
-    predecessor has completed all ``n_blocks`` blocks, every value thread i
-    could read exists, so a lead smaller than D_l cannot race.  Without
-    this, a team delay larger than the predecessor's remaining blocks would
-    deadlock the pipeline.
-    """
-    d_l, d_u = effective_bounds(cfg, i)
-    if i > 0:
-        c_prev = counters[i - 1]
-        if c_prev < n_blocks and c_prev - counters[i] < d_l:
-            return False
-    if i < cfg.n_threads - 1 and counters[i] - counters[i + 1] > d_u:
-        return False
-    return True
+    """True iff thread i may start its next block under ``cfg``'s gate.
+    Relaxed sync reads only ``counters[i-1]``, ``counters[i]`` and
+    ``counters[i+1]``, so a mapping of those three serves; barrier sync
+    reads every thread's counter."""
+    return _gate(counters, _rules(cfg, i), i, counters[i], n_blocks) is not None
 
 
 class BlockSchedule:
@@ -299,17 +305,19 @@ class TraceEvent:
 
 
 def audit_trace(events, cfg: PipelineConfig) -> list[TraceEvent]:
-    """Events whose counter snapshot :func:`may_proceed` would refuse.
+    """Events whose counter snapshot :func:`_gate` refuses, under the pairs
+    of :func:`_rules` on the thread's neighbours, which the snapshot holds.
 
     ``events`` hold whole sweeps, as :func:`instrumented_run` records them,
     so the highest block ordinal gives the block count for the end-of-sweep
-    saturation of :func:`may_proceed`.
+    saturation of the gate.
     """
     n_blocks = 1 + max((ev.block for ev in events), default=-1)
     return [ev for ev in events
-            if not may_proceed({ev.thread - 1: ev.c_prev, ev.thread: ev.c_self,
-                                ev.thread + 1: ev.c_next},
-                               ev.thread, cfg, n_blocks)]
+            if _gate({ev.thread - 1: ev.c_prev, ev.thread + 1: ev.c_next},
+                     [(j, lead) for j, lead in _rules(cfg, ev.thread)
+                      if abs(j - ev.thread) == 1],
+                     ev.thread, ev.c_self, n_blocks) is None]
 
 
 def trace_csv(events) -> str:
@@ -336,6 +344,12 @@ def _level_views(grid, direction: int, tau: int):
         return None, pair[(tau - 1) % 2], pair[tau % 2]
     r, s = grid.offset + direction * (tau - 1), direction
     return r, grid.data[r:, r:, r:], grid.data[r + s:, r + s:, r + s:]
+
+
+def _levels(cfg: PipelineConfig, i: int) -> range:
+    """The time levels global thread i applies: i*T+1 .. (i+1)*T."""
+    T = cfg.updates_per_thread
+    return range(i * T + 1, (i + 1) * T + 1)
 
 
 def _apply_levels(grid, sched: BlockSchedule, blk, levels) -> None:
@@ -492,10 +506,6 @@ class _Runner:
 
     # -- per-sweep work ----------------------------------------------------
 
-    def _levels(self, i: int):
-        T = self.cfg.updates_per_thread
-        return range(i * T + 1, (i + 1) * T + 1)
-
     def _stalled(self, i: int, b: int) -> PipelineTimeout:
         return PipelineTimeout(f"thread {i} stalled at block {b} "
                                f"(counters {self.counters[:]})")
@@ -521,43 +531,27 @@ class _Runner:
         if record is not None:
             self._trace_sweep(sweep, i, record)
 
-    def _gate(self, i: int, b: int, n_blocks: int):
-        """The compiled ``gate``, in Python: the (c_prev, c_self, c_next)
-        on which thread i may start block b, with -1 for a neighbour it
-        does not wait on; None while it must wait."""
-        c, snap = self.counters, [-1, b, -1]
-        for j, lead in self.rules[i]:
-            cj = c[j]
-            if cj < n_blocks and cj - b < lead:
-                return None
-            if abs(j - i) == 1:
-                snap[j - i + 1] = cj
-        return snap
-
     def _run_sweep_py(self, sweep: int, sched: BlockSchedule) -> None:
         """One node sweep on the calling thread: of the threads whose gate
         passes, the one ``_pick`` chooses does its next block and counts it."""
         c, n_blocks = self.counters, sched.n_blocks
         left = list(range(self.cfg.n_threads))
-        records = [[] for _ in left]
         while left:
-            ready = [(i, snap) for i in left
-                     if (snap := self._gate(i, c[i], n_blocks)) is not None]
+            ready = [(i, snap) for i in left if (snap := _gate(
+                c, self.rules[i], i, c[i], n_blocks)) is not None]
             if not ready:
                 raise self._stalled(left[0], c[left[0]])
             i, snap = self._pick(ready)
-            records[i] += snap
+            if self.trace is not None:
+                self.trace.append(TraceEvent(sweep, i, c[i], *snap))
             try:
                 _apply_levels(self.grid, sched, sched.order[c[i]],
-                              self._levels(i))
+                              _levels(self.cfg, i))
             except Exception as exc:
                 raise PipelineError(f"pipe {i} failed: {exc!r}") from exc
             c[i] += 1
             if c[i] == n_blocks:
                 left.remove(i)
-        if self.trace is not None:
-            for i, record in enumerate(records):
-                self._trace_sweep(sweep, i, record)
 
 
 def run_node_sweeps(grid, cfg: PipelineConfig, sweeps: int,

@@ -124,8 +124,6 @@ def decode_message(raw) -> tuple[MessageHeader, np.ndarray]:
 class Endpoint:
     """One rank's handle into the loopback world."""
 
-    _POLL = 0.1  # seconds between abort checks while blocked in recv
-
     def __init__(self, world: "_LoopbackWorld", rank: int):
         self._world = world
         self.rank = rank
@@ -140,14 +138,11 @@ class Endpoint:
 
     def recv(self, peer: int, expect: MessageHeader) -> np.ndarray:
         chan = self._world.channel(peer, self.rank)
-        while True:
-            if self._world.aborted.is_set():
-                raise Aborted
-            try:
-                raw = chan.get(timeout=self._POLL)
-                break
-            except queue.Empty:
-                continue
+        if self._world.aborted.is_set():
+            raise Aborted
+        raw = chan.get()
+        if raw is None:           # put there by _LoopbackWorld.abort
+            raise Aborted
         try:
             header, payload = decode_message(raw)
         except TransportError as exc:
@@ -167,6 +162,13 @@ class _LoopbackWorld:
         self._channels = {(s, r): queue.SimpleQueue()
                           for s in range(n_ranks) for r in range(n_ranks)
                           if s != r}
+
+    def abort(self) -> None:
+        """Make every ``recv``, blocked or to come, raise :class:`Aborted`:
+        a ``None`` behind each channel's messages wakes a blocked one."""
+        self.aborted.set()
+        for chan in self._channels.values():
+            chan.put(None)
 
     def channel(self, sender: int, receiver: int) -> queue.SimpleQueue:
         try:
@@ -189,4 +191,4 @@ def spawn_world(n_ranks: int, program):
         raise ValueError(f"need at least one rank, got {n_ranks}")
     world = _LoopbackWorld(n_ranks)
     return run_group(n_ranks, lambda r: program(r, world.endpoint(r)),
-                     "rank", world.aborted.set, TransportError)
+                     "rank", world.abort, TransportError)

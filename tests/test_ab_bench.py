@@ -63,6 +63,24 @@ def test_fold_reports_the_spread_of_the_parent_runs():
     assert mlups["parent"] == 106 and mlups["parent_iqr"] == pytest.approx(10)
 
 
+def test_fold_gives_the_sign_test_interval_on_the_ratio():
+    # Ten ratios 0.91 .. 1.00 in shuffled order: the interval is the 2nd
+    # and 9th smallest, at coverage 1 - 2 * 11/1024.  Five pairs cannot
+    # reach 95% (1 - 2/32), six can with the extremes (1 - 2/64).
+    ratios = [0.95, 0.91, 1.0, 0.98, 0.93, 0.96, 0.92, 0.99, 0.94, 0.97]
+    pairs = [(_result(100, 1.0), _result(100 * r, 1.0)) for r in ratios]
+    folded = ab_bench.fold(pairs, BETTER)
+    lo, hi, coverage = folded["metrics"]["dist_mlups"]["interval"]
+    assert (lo, hi) == (pytest.approx(0.92), pytest.approx(0.99))
+    assert coverage == pytest.approx(1 - 22 / 1024)
+    assert "[0.920, 0.990] 97.9%" in ab_bench.report(folded)
+    assert ab_bench.median_interval(ratios[:5]) is None
+    row = ab_bench.report(ab_bench.fold(pairs[:5], BETTER)).splitlines()[1]
+    assert row.split()[5] == "-"          # the interval column
+    lo, hi, coverage = ab_bench.median_interval(ratios[:6])
+    assert (lo, hi, coverage) == (0.91, 1.0, pytest.approx(1 - 2 / 64))
+
+
 def test_sign_test_is_exact_and_two_sided():
     assert ab_bench.sign_test(0, 0) == 1.0
     assert ab_bench.sign_test(5, 5) == 1.0

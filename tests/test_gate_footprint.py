@@ -11,15 +11,14 @@ writes.
 
 The footprints come from the package's own ``_apply_levels``, run against
 a shadow grid that names each storage view, over the real
-``BlockSchedule`` and the runner's ``_levels``; the gate is the runner's
-``_gate`` over the (j, lead) pairs of ``_rules``, under either sync mode.
+``BlockSchedule`` and ``_levels``; the gate is the package's ``_gate``
+over the (j, lead) pairs of ``_rules``, under either sync mode.
 Once the kernel runs without the interpreter lock, two block updates
 really overlap, so no interleaving the gate allows may clash.
 """
 
 import itertools
 import random
-from types import SimpleNamespace
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -106,19 +105,19 @@ def _count_clashes(cfg, dims, direction, rng, rules=_rules) -> int:
     """Clashes over one random gate-allowed interleaving of a node sweep."""
     sched = build_schedule(dims, cfg, direction=direction)
     counters = [0] * cfg.n_threads
-    runner = SimpleNamespace(cfg=cfg, counters=counters, rules=[
-        rules(cfg, i) for i in range(cfg.n_threads)])
+    pairs = [rules(cfg, i) for i in range(cfg.n_threads)]
     offset = cfg.levels_per_sweep if direction == -1 else 0
     nb, n = sched.n_blocks, cfg.n_threads
     foot = {(i, b): _footprint(cfg.storage, dims, offset, sched,
                                sched.order[b],
-                               pipeline._Runner._levels(runner, i))
+                               pipeline._levels(cfg, i))
             for i in range(n) for b in range(nb)}
     flying, clashes = {}, 0
     while True:
         steps = [(i, False) for i in flying] + [
             (i, True) for i in range(n) if i not in flying and counters[i] < nb
-            and pipeline._Runner._gate(runner, i, counters[i], nb) is not None]
+            and pipeline._gate(counters, pairs[i], i, counters[i], nb)
+            is not None]
         if not steps:
             break
         i, start = rng.choice(steps)

@@ -72,6 +72,15 @@ def test_edge_threads_skip_one_condition():
     assert not may_proceed([9, 6, 3], 1, cfg, nb)   # middle still bounded above
 
 
+def test_may_proceed_follows_barrier_sync():
+    # Under the barrier thread 2 waits for thread 0 too: its block 0 is
+    # step 2, which starts once thread 0 has done steps 0 and 1.
+    cfg = PipelineConfig(teams=1, team_size=3, sync="barrier")
+    assert not may_proceed([1, 1, 0], 2, cfg, n_blocks=10)
+    assert may_proceed([2, 1, 0], 2, cfg, n_blocks=10)
+    assert may_proceed([1, 1, 0], 2, replace(cfg, sync="relaxed"), n_blocks=10)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(teams=0)
@@ -330,7 +339,7 @@ def test_stalled_thread_times_out(monkeypatch, backends):
     d = GridDims(8, 8, 8)
     cfg = PipelineConfig(teams=1, team_size=2, updates_per_thread=1,
                          block=(8, 4, 4))
-    run_sweep_c, gate = pipeline._Runner._run_sweep_c, pipeline._Runner._gate
+    run_sweep_c, gate = pipeline._Runner._run_sweep_c, pipeline._gate
 
     def idle_front(self, i, sweep, sched):
         if i == 0:
@@ -339,8 +348,8 @@ def test_stalled_thread_times_out(monkeypatch, backends):
             raise Aborted
         run_sweep_c(self, i, sweep, sched)
 
-    def refuse_1(self, i, b, n_blocks):
-        return None if i == 1 else gate(self, i, b, n_blocks)
+    def refuse_1(counters, pairs, i, b, n_blocks):
+        return None if i == 1 else gate(counters, pairs, i, b, n_blocks)
 
     for backend in backends:
         g = allocate(d, "twogrid", FillPattern.random(61))
@@ -357,7 +366,7 @@ def test_stalled_thread_times_out(monkeypatch, backends):
                 mp.setattr(pipeline._Runner, "_SPIN_TIMEOUT", 0.2)
                 mp.setattr(pipeline._Runner, "_run_sweep_c", idle_front)
             else:
-                mp.setattr(pipeline._Runner, "_gate", refuse_1)
+                mp.setattr(pipeline, "_gate", refuse_1)
             caller = threading.Thread(target=run, daemon=True)
             caller.start()
             caller.join(timeout=5.0)
@@ -494,6 +503,25 @@ def test_instrumented_trace_obeys_distances(backends):
         assert audit_trace(trace, cfg) == [], backend
 
 
+@pytest.mark.parametrize("team_delay", [0, 2])
+@pytest.mark.parametrize("d_l", [2, 3])
+def test_barrier_runs_audit_clean_whatever_min_dist(d_l, team_delay,
+                                                    backends):
+    # Barrier lockstep keeps a thread one block behind its predecessor
+    # whatever d_l is; the audit checks the barrier's pairs, not d_l.
+    d = GridDims(16, 24, 24)
+    cfg = PipelineConfig(teams=2, team_size=3, updates_per_thread=1,
+                         min_dist=d_l, team_delay=team_delay,
+                         sync="barrier", block=(16, 8, 8))
+    pat = FillPattern.random(37)
+    for backend in backends:
+        g = allocate(d, "twogrid", pat)
+        trace = instrumented_run(g, cfg, 2)
+        assert len(trace) == 2 * cfg.n_threads * 9, backend
+        assert audit_trace(trace, cfg) == [], backend
+        assert compare(oracle(d, pat, 2 * cfg.levels_per_sweep), g).bitwise
+
+
 def test_tight_distances_pin_the_window():
     # With d_l = d_u = 1 a successor starts a block only at lead exactly 1;
     # the snapshot is taken just after the gate, during which the
@@ -522,6 +550,26 @@ def test_audit_takes_the_block_count_from_the_trace():
     late = [TraceEvent(0, 1, b, 3, b, -1) for b in (1, 2)]
     assert audit_trace([*first, early, *late], cfg) == [early]
     assert audit_trace([], cfg) == []
+
+
+def test_audit_flags_a_broken_barrier_lockstep():
+    # A lockstep sweep of three threads over four blocks: thread i does
+    # block b at barrier step i + b, so its predecessor has done b + 1
+    # blocks and its successor b - 1.  Thread 1 starting block 1 with its
+    # predecessor at 1 breaks the lockstep under either sync mode; thread
+    # 0 starting block 2 while thread 1 has done none runs two ahead,
+    # which only the barrier forbids (d_u is 4).
+    cfg = PipelineConfig(teams=1, team_size=3, sync="barrier")
+    n = 4
+    lockstep = [TraceEvent(0, i, b, min(n, b + 1) if i else -1, b,
+                           max(0, b - 1) if i < 2 else -1)
+                for i in range(3) for b in range(n)]
+    assert audit_trace(lockstep, cfg) == []
+    behind = TraceEvent(0, 1, 1, 1, 1, 0)
+    ahead = TraceEvent(0, 0, 2, -1, 2, 0)
+    assert audit_trace([*lockstep, behind, ahead], cfg) == [behind, ahead]
+    assert audit_trace([*lockstep, behind, ahead],
+                       replace(cfg, sync="relaxed")) == [behind]
 
 
 def test_trace_csv_format(backends):
@@ -576,7 +624,7 @@ def _levelwise(grid, domains, sweeps: int):
 @given(data=st.data())
 def test_random_pipelines_audit_clean_and_bitwise(data, backends,
                                                   monkeypatch):
-    # The compiled gate against may_proceed, through audit_trace, and every
+    # The compiled gate against _gate, through audit_trace, and every
     # storage and sync mode against a reference, on both backends.  Under
     # numpy a seeded chooser picks which ready thread does its next block,
     # so every example also runs one more order of the blocks the gate
@@ -588,10 +636,7 @@ def test_random_pipelines_audit_clean_and_bitwise(data, backends,
     sync = data.draw(st.sampled_from(["barrier", "relaxed"]), label="sync")
     storage = data.draw(st.sampled_from(["twogrid", "compressed"]),
                         label="storage")
-    # Barrier lockstep keeps a thread one block behind its predecessor,
-    # plus the team delay at a team's front, which the audit passes only
-    # while d_l is 1.
-    d_l = data.draw(st.integers(1, 3), label="d_l") if sync == "relaxed" else 1
+    d_l = data.draw(st.integers(1, 3), label="d_l")
     d_u = data.draw(st.integers(d_l, d_l + 4), label="d_u")
     delay = data.draw(st.integers(0, 3), label="team delay")
     U = teams * t * T

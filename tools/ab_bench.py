@@ -11,9 +11,11 @@ exit) and runs ``perfbench/run.py --workload W --seed S --seconds X
 each.  The side that runs first alternates from pair to pair, so drift of
 the host favours neither.  Per end-to-end metric it prints the parent and
 change medians, the spread of the parent's runs (q3 - q1), the median
-change/parent ratio, the change's wins out of the pairs (the direction is
-each metric's ``better`` in ``BENCHMARK.json``) and an exact two-sided
-sign-test p, ties left out (Kalibera & Jones, ISMM'13, for paired runs).
+change/parent ratio with its distribution-free sign-test interval (at
+least 95% coverage; none below 6 pairs), the change's wins out of the
+pairs (the direction is each metric's ``better`` in ``BENCHMARK.json``)
+and an exact two-sided sign-test p, ties left out (Kalibera & Jones,
+ISMM'13, for paired runs).
 A pair in which either side is not correct, reports failed operations or
 gives no result is counted and listed, and left out of every statistic.
 Standard library only.
@@ -38,13 +40,31 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def _tail(n: int, k: int) -> float:
+    """P(Bin(n, 1/2) <= k)."""
+    return sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
+
+
 def sign_test(wins: int, losses: int) -> float:
     """Exact two-sided sign-test p of ``wins`` against ``losses``."""
     n = wins + losses
     if n == 0:
         return 1.0
-    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
-    return min(1.0, 2 * tail / 2 ** n)
+    return min(1.0, 2 * _tail(n, min(wins, losses)))
+
+
+def median_interval(values):
+    """(lo, hi, coverage) of the sign-test interval on the median of
+    ``values``: [v(k), v(n-k+1)] of the sorted values for the largest k
+    whose coverage 1 - 2 P(Bin(n, 1/2) <= k - 1) is at least 0.95, or
+    None when even k = 1 falls short (fewer than 6 values)."""
+    v, best = sorted(values), None
+    for k in range(1, len(v) // 2 + 1):
+        coverage = 1 - 2 * _tail(len(v), k - 1)
+        if coverage < 0.95:
+            break
+        best = (v[k - 1], v[-k], coverage)
+    return best
 
 
 def _fault(result: dict | None) -> str | None:
@@ -92,6 +112,7 @@ def fold(pairs, better: dict) -> dict:
             "parent": statistics.median(base), "parent_iqr": q3 - q1,
             "change": statistics.median(c for _, c in seen),
             "ratio": statistics.median(ratios) if ratios else None,
+            "interval": median_interval(ratios),
             "wins": wins, "losses": losses,
             "ties": len(seen) - wins - losses,
             "p": sign_test(wins, losses),
@@ -101,12 +122,14 @@ def fold(pairs, better: dict) -> dict:
 
 def report(folded: dict) -> str:
     lines = [f"{'metric':<24} {'parent':>10} {'iqr':>9} {'change':>10} "
-             f"{'ratio':>7} {'wins':>7} {'p':>7}"]
+             f"{'ratio':>7} {'interval':>22} {'wins':>7} {'p':>7}"]
     for name, m in folded["metrics"].items():
         ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
+        ci = ("-" if m["interval"] is None else
+              "[{:.3f}, {:.3f}] {:.1%}".format(*m["interval"]))
         lines.append(f"{name:<24} {m['parent']:>10.4g} "
                      f"{m['parent_iqr']:>9.3g} {m['change']:>10.4g} {ratio:>7} "
-                     f"{m['wins']:>3}/{m['n']:<3} {m['p']:>7.3g}")
+                     f"{ci:>22} {m['wins']:>3}/{m['n']:<3} {m['p']:>7.3g}")
     bad = folded["bad"]
     lines.append(f"bad pairs: {len(bad)} of {folded['pairs']}"
                  + "".join(f"\n  pair {k + 1} {side}: {why}"
