@@ -507,8 +507,9 @@ def test_instrumented_trace_obeys_distances(backends):
 @pytest.mark.parametrize("d_l", [2, 3])
 def test_barrier_runs_audit_clean_whatever_min_dist(d_l, team_delay,
                                                     backends):
-    # Barrier lockstep keeps a thread one block behind its predecessor
-    # whatever d_l is; the audit checks the barrier's pairs, not d_l.
+    # Barrier lockstep keeps a thread one block behind its predecessor,
+    # plus the team delay at a team's front, whatever d_l is; the audit
+    # checks the barrier's pairs, which do not read d_l.
     d = GridDims(16, 24, 24)
     cfg = PipelineConfig(teams=2, team_size=3, updates_per_thread=1,
                          min_dist=d_l, team_delay=team_delay,
@@ -519,7 +520,8 @@ def test_barrier_runs_audit_clean_whatever_min_dist(d_l, team_delay,
         trace = instrumented_run(g, cfg, 2)
         assert len(trace) == 2 * cfg.n_threads * 9, backend
         assert audit_trace(trace, cfg) == [], backend
-        assert compare(oracle(d, pat, 2 * cfg.levels_per_sweep), g).bitwise
+        assert compare(oracle(d, pat, 2 * cfg.levels_per_sweep),
+                       g).bitwise, backend
 
 
 def test_tight_distances_pin_the_window():
