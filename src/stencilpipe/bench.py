@@ -136,38 +136,30 @@ def _pipeline_grid(dims: GridDims, pattern: FillPattern, cfg: PipelineConfig):
 
 
 def _run_variant(variant: str, dims: GridDims, pattern: FillPattern,
-                 cfg: PipelineConfig, sweeps: int) -> tuple[object, int, float]:
-    """Allocate, warm up, run timed; returns (grid, updates, seconds).
+                 cfg: PipelineConfig, sweeps: int) -> tuple[object, int, int, float]:
+    """Allocate, warm up with one untimed sweep, time ``sweeps``; returns
+    (grid, levels per sweep, updates, seconds).
 
     ``cfg.block`` must be set: the blocked and pipeline variants use it.
     """
-    interior = dims.nx * dims.ny * dims.nz
     if variant == "pipeline":
-        grid = _pipeline_grid(dims, pattern, cfg)
-        run_node_sweeps(grid, cfg, 1)  # warmup, untimed
-        start = time.monotonic()
-        run_node_sweeps(grid, cfg, sweeps)
-        levels = sweeps * cfg.levels_per_sweep
-        return grid, interior * levels, time.monotonic() - start
-    if variant == "naive":
-        step = sweep_naive
-    elif variant == "blocked":
-        step = lambda g: sweep_spatial_blocked(g, cfg.block)
+        grid, levels = _pipeline_grid(dims, pattern, cfg), cfg.levels_per_sweep
+        run = lambda k: run_node_sweeps(grid, cfg, k)   # noqa: E731
+    elif variant in ("naive", "blocked"):
+        grid, levels = allocate(dims, "twogrid", pattern), 1
+        step = (sweep_naive if variant == "naive"
+                else lambda g: sweep_spatial_blocked(g, cfg.block))
+
+        def run(k):
+            for _ in range(k):
+                step(grid)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    grid = allocate(dims, "twogrid", pattern)
-    step(grid)  # warmup, untimed
+    run(1)
     start = time.monotonic()
-    for _ in range(sweeps):
-        step(grid)
-    return grid, interior * sweeps, time.monotonic() - start
-
-
-def _verify_levels(variant: str, cfg: PipelineConfig, total_sweeps: int) -> int:
-    # Warmup counts: every variant runs one untimed sweep before timing.
-    if variant == "pipeline":
-        return (total_sweeps + 1) * cfg.levels_per_sweep
-    return total_sweeps + 1
+    run(sweeps)
+    seconds = time.monotonic() - start
+    return grid, levels, dims.nx * dims.ny * dims.nz * sweeps * levels, seconds
 
 
 def cmd_bench(args) -> int:
@@ -181,14 +173,14 @@ def cmd_bench(args) -> int:
             # Every rep computes the same field, so only the last is kept,
             # and it goes before the next rep allocates.
             grid = None
-            grid, updates, seconds = _run_variant(variant, dims, pattern, cfg,
-                                                  args.sweeps)
+            grid, levels, updates, seconds = _run_variant(
+                variant, dims, pattern, cfg, args.sweeps)
             times.append(seconds)
         seconds = sorted(times)[len(times) // 2]
         verified = "skipped"
         if not args.no_verify and max(dims.shape) <= 64:
-            levels = _verify_levels(variant, cfg, args.sweeps)
-            ref = oracle(dims, pattern, levels)
+            # The warm-up sweep counts too.
+            ref = oracle(dims, pattern, (args.sweeps + 1) * levels)
             verified = "yes" if compare(ref, grid).passed else "no"
         results.append(BenchResult(variant, dims, cfg, args.sweeps,
                                    seconds, updates, verified))

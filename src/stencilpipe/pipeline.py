@@ -43,17 +43,14 @@ lowest, and that thread applies its levels to the block and counts it.  A sweep 
 levels to the same regions through :func:`_level_views`, so they give
 the same bits.
 
-``_Runner`` is the one executor of a schedule: ``_begin_sweep`` checks
-every level's domain against its views before any block is written, and
-``_end_sweep`` ends a sweep.  With one thread, one team and T levels a
-node sweep is the serial temporally blocked update, so the spatially
-blocked sweep (T=1) and the serial distributed outer step (T=h) are
-one-thread runs of it, which start no thread.
-
-Schedules are immutable and built once per process for each distinct
-(level domains, block, direction), which is all a schedule depends on:
-:func:`build_schedule` hands every run the same shared object, so only
-the first run of a geometry pays for its construction.
+``_Runner`` is the one executor of a schedule.  Its constructor builds,
+and so checks, the schedule of every direction its sweeps can take.  Each
+sweep then checks every level's domain against its views before any
+block is written, runs on one compiled :class:`~.kernel.Sweep` or in the
+numpy loop, and ends in :func:`_end_sweep`.  With one thread, one team
+and T levels a node sweep is the serial temporally blocked update, so
+the spatially blocked sweep (T=1) and the serial distributed outer step
+(T=h) are one-thread runs of it, which start no thread.
 """
 
 from __future__ import annotations
@@ -62,9 +59,7 @@ import ctypes
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import astuple, dataclass
 
 from . import kernel
 from .grid import CompressedGrid, GridDims, TwoGrid
@@ -311,6 +306,11 @@ def audit_trace(events, cfg: PipelineConfig) -> list[TraceEvent]:
     ``events`` hold whole sweeps, as :func:`instrumented_run` records them,
     so the highest block ordinal gives the block count for the end-of-sweep
     saturation of the gate.
+
+    A snapshot holds only c_prev, c_self and c_next, so under barrier sync
+    a broken pair between threads that are not neighbours passes the
+    audit.  The footprint checker (``tests/test_gate_footprint.py``) and
+    the numpy explorer, whose gates read every counter, cover those pairs.
     """
     n_blocks = 1 + max((ev.block for ev in events), default=-1)
     return [ev for ev in events
@@ -322,9 +322,7 @@ def audit_trace(events, cfg: PipelineConfig) -> list[TraceEvent]:
 
 def trace_csv(events) -> str:
     lines = ["sweep,thread,block,c_prev,c_self,c_next"]
-    for ev in events:
-        lines.append(f"{ev.sweep},{ev.thread},{ev.block},"
-                     f"{ev.c_prev},{ev.c_self},{ev.c_next}")
+    lines += [",".join(map(str, astuple(ev))) for ev in events]
     return "\n".join(lines) + "\n"
 
 
@@ -366,22 +364,16 @@ def _apply_levels(grid, sched: BlockSchedule, blk, levels) -> None:
 
 def _end_sweep(grid, sched: BlockSchedule) -> None:
     """Advance ``grid`` past a finished sweep of all of ``sched``'s levels."""
-    U = sched.n_levels
-    if grid.storage == "twogrid":
-        if U % 2 == 1:
-            grid.swap()
-    else:
-        grid.shift_origin(sched.direction * U)
+    if grid.storage == "compressed":
+        grid.shift_origin(sched.direction * sched.n_levels)
+    elif sched.n_levels % 2 == 1:
+        grid.swap()
 
 
-def _addresses(arrays) -> list[int]:
-    """Data addresses of a list of numpy arrays, each distinct one looked
-    up once."""
-    seen = {}
-    for a in arrays:
-        if id(a) not in seen:
-            seen[id(a)] = a.__array_interface__["data"][0]
-    return [seen[id(a)] for a in arrays]
+def _direction(grid, U: int) -> int:
+    """Two-grid sweeps of U levels run down (-1); compressed ones move the
+    origin U layers down while it has that room below, else up (+1)."""
+    return 1 if grid.storage == "compressed" and grid.offset < U else -1
 
 
 class _Runner:
@@ -395,10 +387,7 @@ class _Runner:
 
     def __init__(self, grid, cfg: PipelineConfig, sweeps: int,
                  level_domains=None, trace=None):
-        self.grid = grid
-        self.cfg = cfg
-        self.sweeps = sweeps
-        self.trace = trace
+        self.grid, self.cfg, self.sweeps, self.trace = grid, cfg, sweeps, trace
         n = cfg.n_threads
         self.counters = (ctypes.c_int64 * n)()
         self.stop = ctypes.c_int32()      # abort flag, polled by C spins
@@ -413,123 +402,89 @@ class _Runner:
                 raise ValueError("config expects compressed storage")
             # A sweep moves the origin U layers down, or up when there is no
             # room below; once the first sweep fits, every later one does.
+            # Both schedules are built, and so checked, before any write.
             U = cfg.levels_per_sweep
             if grid.offset < U and grid.offset + U > grid.slack:
-                raise ScheduleError(f"compressed origin offset {grid.offset} "
-                                    f"has no room for U={U} in slack "
-                                    f"{grid.slack}")
+                raise ScheduleError(f"compressed origin offset {grid.offset} has "
+                                    f"no room for U={U} in slack {grid.slack}")
             if level_domains is not None:
                 raise ScheduleError("compressed storage supports interior domains only")
-            self.schedules = {
-                -1: build_schedule(grid.dims, cfg, None, -1),
-                1: build_schedule(grid.dims, cfg, None, 1),
-            }
-        self._sweep_fn = kernel._c_sweep
-        if self._sweep_fn is not None:
-            self._init_c()
-
-    def _init_c(self) -> None:
-        """The compiled sweep's arguments that hold for the whole run."""
-        cfg, grid = self.cfg, self.grid
-        view = grid.current if grid.storage == "twogrid" else grid.data
-        # Every thread's pairs end to end, and each thread's first pair.
-        self._rule = array("q", itertools.accumulate(
-            map(len, self.rules), initial=0))
-        self._pairs = array("q", itertools.chain.from_iterable(
-            itertools.chain.from_iterable(self.rules)))
-        a = self._args = kernel.Sweep(
-            T=cfg.updates_per_thread, ghost=grid.dims.ghost,
-            sz=view.strides[0] // 8, sy=view.strides[1] // 8,
-            n=(ctypes.c_int64 * 3)(*grid.dims.shape),
-            counters=ctypes.addressof(self.counters),
-            abort=ctypes.addressof(self.stop),
-            rule=self._rule.buffer_info()[0],
-            rules=self._pairs.buffer_info()[0],
-            spin_budget=self._SPIN_BUDGET, timeout=self._SPIN_TIMEOUT)
-        if grid.storage == "compressed":
-            self._faces = [np.ascontiguousarray(f)
-                           for pair in grid.faces for f in pair]
-            self._face_table = (ctypes.c_void_p * 6)(*_addresses(self._faces))
-            a.faces = ctypes.addressof(self._face_table)
+            self.schedules = {s: build_schedule(grid.dims, cfg, None, s)
+                              for s in (-1, 1)}
 
     def run(self) -> None:
-        """Every sweep between its begin and end: under ``c`` one thread
-        group, under ``numpy`` one loop on the calling thread."""
+        """Every sweep in order, each level's domain and its one-cell
+        neighbourhood checked against both of its views before any block is
+        written; a level's blocks partition it, so no block update leaves."""
+        g, U = self.grid.dims.ghost, self.cfg.levels_per_sweep
+        # Not kept on self, where it would make a cycle that holds the grid
+        # until a collection; the numpy sweep takes its views per block.
+        execute = self._run_group if kernel._c_sweep is not None else (
+            lambda sweep, sched, views: self._run_sweep_py(sweep, sched))
         for sweep in range(self.sweeps):
-            self._begin_sweep()
-            if self._sweep_fn is None:
-                self._run_sweep_py(sweep, self.sched)
-            else:
-                run_group(self.cfg.n_threads,
-                          lambda i: self._run_sweep_c(i, sweep, self.sched),
-                          "pipe", self._abort, PipelineError)
-            _end_sweep(self.grid, self.sched)
+            sched = self.schedules[_direction(self.grid, U)]
+            views = [_level_views(self.grid, sched.direction, tau)[1:]
+                     for tau in range(1, U + 1)]
+            for tau, (src, dst) in enumerate(views, 1):
+                lo, hi = sched.domain(tau)
+                if all(h > l for l, h in zip(lo, hi)):
+                    _check_region(src, dst, g, lo, hi)
+            ctypes.memset(self.counters, 0, ctypes.sizeof(self.counters))
+            execute(sweep, sched, views)
+            _end_sweep(self.grid, sched)
 
-    def _abort(self) -> None:
-        self.stop.value = 1
-
-    def _schedule(self) -> BlockSchedule:
-        """Two-grid sweeps run down.  Compressed sweeps move the origin U
-        layers down while it has that room below, else up."""
-        if (self.grid.storage == "compressed"
-                and self.grid.offset < self.cfg.levels_per_sweep):
-            return self.schedules[1]
-        return self.schedules[-1]
-
-    def _begin_sweep(self) -> None:
-        """Pick the next sweep's schedule and check, before any thread
-        writes, that every level's domain and its one-cell neighbourhood
-        fit both of the level's views.  The blocks of a level partition its
-        domain, so no block update can leave them."""
-        sched = self.sched = self._schedule()
-        g = self.grid.dims.ghost
-        views = [_level_views(self.grid, sched.direction, tau)[1:]
-                 for tau in range(1, sched.n_levels + 1)]
-        for tau, (src, dst) in enumerate(views, 1):
-            lo, hi = sched.domain(tau)
-            if all(h > l for l, h in zip(lo, hi)):
-                _check_region(src, dst, g, lo, hi)
-        ctypes.memset(self.counters, 0, ctypes.sizeof(self.counters))
-        if self._sweep_fn is None:
-            return
+    def _run_group(self, sweep: int, sched: BlockSchedule, views) -> None:
+        """The sweep as one thread group of compiled calls on one
+        :class:`kernel.Sweep`, whose arrays are locals here or held by
+        ``sched``, ``self`` and the grid, so they outlive the group."""
+        cfg, grid, U = self.cfg, self.grid, sched.n_levels
         # Every level's source base, then every level's destination base.
-        U = sched.n_levels
-        self._views = (ctypes.c_void_p * (2 * U))(
-            *_addresses([v for side in zip(*views) for v in side]))
-        a = self._args
-        a.n_blocks = sched.n_blocks
-        a.order = sched.order_array.buffer_info()[0]
-        a.cuts = sched.cut_array.buffer_info()[0]
-        a.chain = sched.chain_starts.buffer_info()[0]
-        a.src = ctypes.addressof(self._views)
-        a.dst = a.src + 8 * U
-
-    # -- per-sweep work ----------------------------------------------------
+        bases = (ctypes.c_void_p * (2 * U))(
+            *(v.ctypes.data for side in zip(*views) for v in side))
+        # Every thread's pairs end to end, and each thread's first pair.
+        rule = array("q", itertools.accumulate(map(len, self.rules), initial=0))
+        pairs = array("q", itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.rules)))
+        # The grid's faces, which np.take made contiguous, or NULL.
+        faces = None if grid.storage == "twogrid" else (ctypes.c_void_p * 6)(
+            *(f.ctypes.data for pair in grid.faces for f in pair))
+        sz, sy, _ = views[0][0].strides
+        args = kernel.Sweep(
+            n_blocks=sched.n_blocks, T=cfg.updates_per_thread,
+            ghost=grid.dims.ghost, sz=sz // 8, sy=sy // 8,
+            n=(ctypes.c_int64 * 3)(*grid.dims.shape),
+            order=sched.order_array.buffer_info()[0],
+            cuts=sched.cut_array.buffer_info()[0],
+            chain=sched.chain_starts.buffer_info()[0],
+            src=ctypes.addressof(bases), dst=ctypes.addressof(bases) + 8 * U,
+            faces=faces and ctypes.addressof(faces),
+            rule=rule.buffer_info()[0], rules=pairs.buffer_info()[0],
+            counters=ctypes.addressof(self.counters),
+            abort=ctypes.addressof(self.stop),
+            spin_budget=self._SPIN_BUDGET, timeout=self._SPIN_TIMEOUT)
+        run_group(cfg.n_threads, lambda i: self._run_sweep_c(i, sweep, args),
+                  "pipe", lambda: setattr(self.stop, "value", 1), PipelineError)
 
     def _stalled(self, i: int, b: int) -> PipelineTimeout:
         return PipelineTimeout(f"thread {i} stalled at block {b} "
                                f"(counters {self.counters[:]})")
 
-    def _trace_sweep(self, sweep: int, i: int, record) -> None:
-        """Thread i's events from ``record``: per block, the (c_prev,
-        c_self, c_next) its gate passed on, end to end."""
-        snaps = iter(record)
-        self.trace.extend(TraceEvent(sweep, i, b, *snap) for b, snap
-                          in enumerate(zip(snaps, snaps, snaps)))
-
-    def _run_sweep_c(self, i: int, sweep: int, sched: BlockSchedule) -> None:
-        """Thread i's sweep as one compiled call, which holds no GIL."""
+    def _run_sweep_c(self, i: int, sweep: int, args) -> None:
+        """Thread i's sweep as one compiled call on ``args``, the sweep's
+        :class:`kernel.Sweep`, which holds no GIL.  A trace gets one event
+        per block, the (c_prev, c_self, c_next) its gate passed on."""
         record = (None if self.trace is None
-                  else (ctypes.c_int64 * (3 * sched.n_blocks))())
+                  else (ctypes.c_int64 * (3 * args.n_blocks))())
         where = ctypes.c_int64()
-        status = self._sweep_fn(ctypes.byref(self._args), i, record,
-                                ctypes.byref(where))
+        status = kernel._c_sweep(ctypes.byref(args), i, record,
+                                 ctypes.byref(where))
         if status == kernel.SWEEP_ABORTED:
             raise Aborted
         if status == kernel.SWEEP_TIMEOUT:
             raise self._stalled(i, where.value)
         if record is not None:
-            self._trace_sweep(sweep, i, record)
+            self.trace.extend(TraceEvent(sweep, i, b, *record[3 * b:3 * b + 3])
+                              for b in range(args.n_blocks))
 
     def _run_sweep_py(self, sweep: int, sched: BlockSchedule) -> None:
         """One node sweep on the calling thread: of the threads whose gate

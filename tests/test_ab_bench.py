@@ -87,3 +87,24 @@ def test_sign_test_is_exact_and_two_sided():
     assert ab_bench.sign_test(10, 0) == pytest.approx(2 / 1024)
     assert ab_bench.sign_test(0, 10) == ab_bench.sign_test(10, 0)
     assert ab_bench.sign_test(9, 1) == pytest.approx(2 * 11 / 1024)
+
+
+def test_steal_ticks_reads_the_aggregate_cpu_line(tmp_path):
+    # Fields after "cpu": user nice system idle iowait irq softirq steal.
+    stat = ("cpu  793406 0 61173 8500778 212 0 1251 11426 0 0\n"
+            "cpu0 405281 0 30588 4241606 119 0 600 5613 0 0\n"
+            "intr 1 2 3\n")
+    assert ab_bench.steal_ticks(stat) == 11426
+    assert ab_bench.steal_ticks("cpu  1 2 3 4 5 6 7\n") is None   # no steal
+    assert ab_bench.steal_ticks("cpu  1 2 3 4 5 6 7 x 0 0\n") is None
+    assert ab_bench.steal_ticks("cpu0 1 2 3 4 5 6 7 8 0 0\n") is None
+    path = tmp_path / "stat"
+    path.write_text(stat)
+    assert ab_bench.read_steal(str(path)) == 11426
+    assert ab_bench.read_steal(str(tmp_path / "missing")) is None
+
+
+def test_steal_medians_skip_unreadable_runs():
+    assert ab_bench._ticks([3, None, 1, 8]) == "3"
+    assert ab_bench._ticks([2, 5]) == "3.5"
+    assert ab_bench._ticks([None]) == ab_bench._ticks([]) == "-"

@@ -463,6 +463,24 @@ def test_storage_mismatch_rejected():
         assert [a.tobytes() for a in arrays] == before, message
 
 
+def test_compressed_run_refused_when_its_up_sweep_is_invalid(backends):
+    # Slack U: the first sweep runs down and the second up.  The down
+    # schedule is valid, but the up one pushes level 3's z edges past the
+    # high end, so the run is refused before its first sweep writes.
+    d = GridDims(9, 9, 9)
+    cfg = PipelineConfig(team_size=1, updates_per_thread=3, block=(9, 4, 4),
+                         storage="compressed")
+    build_schedule(d, cfg, direction=-1)
+    for backend in backends:
+        g = allocate(d, "compressed", FillPattern.random(71), slack=3)
+        before = g.data.tobytes()
+        with pytest.raises(ScheduleError,
+                           match=r"level 3: shifted block edges escape "
+                                 r"domain \(dim 0, shift 2\)"):
+            run_node_sweeps(g, cfg, 2)
+        assert g.data.tobytes() == before and g.offset == 3, backend
+
+
 def test_compressed_rerun_at_slack_u_matches_oracle(backends):
     # A sweep moves the origin down while it has U layers of room below,
     # else up, so slack U serves any sequence of calls.

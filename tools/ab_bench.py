@@ -16,6 +16,11 @@ least 95% coverage; none below 6 pairs), the change's wins out of the
 pairs (the direction is each metric's ``better`` in ``BENCHMARK.json``)
 and an exact two-sided sign-test p, ties left out (Kalibera & Jones,
 ISMM'13, for paired runs).
+Around each run it reads the ``steal`` field of the ``cpu`` line of
+``/proc/stat``, the time the hypervisor gave this guest's vCPUs to others,
+in ticks of 1/100 s.  Each pair's progress line gives both sides' ticks
+and the report each side's median, "-" where ``/proc/stat`` cannot be
+read, so drift within a run can be told from stolen time.
 A pair in which either side is not correct, reports failed operations or
 gives no result is counted and listed, and left out of every statistic.
 Standard library only.
@@ -65,6 +70,31 @@ def median_interval(values):
             break
         best = (v[k - 1], v[-k], coverage)
     return best
+
+
+def steal_ticks(stat: str) -> int | None:
+    """The ``steal`` field (the eighth number) of the aggregate ``cpu``
+    line of a ``/proc/stat`` text, or None when there is none."""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields[:1] == ["cpu"]:
+            ok = len(fields) > 8 and fields[8].isdigit()
+            return int(fields[8]) if ok else None
+    return None
+
+
+def read_steal(path: str = "/proc/stat") -> int | None:
+    try:
+        with open(path, encoding="ascii") as fh:
+            return steal_ticks(fh.read())
+    except (OSError, ValueError):
+        return None
+
+
+def _ticks(values) -> str:
+    """The median of the known ``values``, or "-" when none is known."""
+    known = [v for v in values if v is not None]
+    return f"{statistics.median(known):g}" if known else "-"
 
 
 def _fault(result: dict | None) -> str | None:
@@ -137,17 +167,21 @@ def report(folded: dict) -> str:
     return "\n".join(lines)
 
 
-def run(tree: Path, args) -> dict | None:
-    """One untraced perfbench run in ``tree``; its result, or None."""
+def run(tree: Path, args) -> tuple[dict | None, int | None]:
+    """One untraced perfbench run in ``tree``: its result, or None, and the
+    steal ticks it saw, or None."""
+    before = read_steal()
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = read_steal()
+    steal = None if None in (before, after) else after - before
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1]) if proc.returncode == 0 else None
+        return (json.loads(lines[-1]) if proc.returncode == 0 else None), steal
     except (IndexError, json.JSONDecodeError):
-        return None
+        return None, steal
 
 
 def main(argv=None) -> int:
@@ -164,21 +198,28 @@ def main(argv=None) -> int:
         parent = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(parent), args.rev)
         sides = {"parent": parent, "change": ROOT}
+        steal = {"parent": [], "change": []}
         try:
             pairs = []
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 else ("change",
                                                                  "parent")
-                res = {side: run(sides[side], args) for side in order}
+                res = {}
+                for side in order:
+                    res[side], ticks = run(sides[side], args)
+                    steal[side].append(ticks)
                 pairs.append((res["parent"], res["change"]))
                 print(f"pair {k + 1}/{args.pairs}: {order[0]} first, "
-                      + ", ".join(f"{s} {_fault(res[s]) or 'ok'}"
-                                  for s in order), file=sys.stderr)
+                      + ", ".join(f"{s} {_fault(res[s]) or 'ok'} (steal "
+                                  f"{_ticks(steal[s][-1:])})" for s in order),
+                      file=sys.stderr)
         finally:
             git("worktree", "remove", "--force", str(parent))
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s, "
           f"{args.rev} -> working tree")
     print(report(fold(pairs, better)))
+    print("steal ticks, median per run: "
+          + ", ".join(f"{s} {_ticks(v)}" for s, v in steal.items()))
     return 0
 
 
