@@ -19,6 +19,9 @@ the ranks of :func:`spawn_world` and the threads of a node pipeline.
 
 from __future__ import annotations
 
+import collections
+import functools
+import os
 import queue
 import struct
 import threading
@@ -41,14 +44,44 @@ class Aborted(Exception):
     """A group member stopped because another member failed."""
 
 
+# Parked workers, most recently parked last; each is the job queue its
+# daemon thread blocks on in _park.
+_idle: collections.deque = collections.deque()
+_IDLE_NAME = "group-idle"
+if hasattr(os, "register_at_fork"):
+    # Workers do not survive fork: a child that took a parent's parked
+    # queue would wait for a thread it does not have.
+    os.register_at_fork(after_in_child=_idle.clear)
+
+
+def _park(jobs: queue.SimpleQueue) -> None:
+    """Run jobs from ``jobs`` under their names, parking between them.
+
+    A job is dropped and its worker re-listed before ``done`` is signalled,
+    so a returned :func:`run_group` finds the worker idle and no parked
+    worker keeps a member's closure, and with it a grid, alive."""
+    me = threading.current_thread()
+    while True:
+        name, job, done = jobs.get()
+        me.name = name
+        try:
+            job()
+            del job
+            me.name = _IDLE_NAME
+            _idle.append(jobs)
+        finally:
+            done.put(None)
+
+
 def run_group(n: int, member, label: str, abort, error) -> list:
     """Run ``member(i)`` for every ``i < n``; returns the results in order.
 
-    Member 0 runs on the calling thread and members 1 .. n-1 on daemon
-    threads named ``f"{label}-{i}"``, started before it and joined after
-    it.  The first failure calls ``abort()``, which must make every
-    blocked member raise :class:`Aborted`; such members are not reported.
-    The lowest-index member that failed on its own raises
+    Member 0 runs on the calling thread and members 1 .. n-1 on parked
+    daemon workers, named ``f"{label}-{i}"`` while they run member i; a
+    worker is started only when none is idle, and none runs a member once
+    the call returns.  The first failure calls ``abort()``, which must
+    make every blocked member raise :class:`Aborted`; such members are
+    not reported.  The lowest-index member that failed on its own raises
     ``error("<label> <i> failed: <exc>")`` chained to its exception, which
     passes through unchanged when it already is an ``error`` (or is not an
     ``Exception``, such as ``KeyboardInterrupt``).
@@ -65,14 +98,18 @@ def run_group(n: int, member, label: str, abort, error) -> list:
             failures[i] = exc
             abort()
 
-    threads = [threading.Thread(target=run, args=(i,),
-                                name=f"{label}-{i}", daemon=True)
-               for i in range(1, n)]
-    for th in threads:
-        th.start()
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    for i in range(1, n):
+        try:
+            jobs = _idle.pop()
+        except IndexError:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_park, args=(jobs,), name=_IDLE_NAME,
+                             daemon=True).start()
+        jobs.put((f"{label}-{i}", functools.partial(run, i), done))
     run(0)
-    for th in threads:
-        th.join()
+    for _ in range(1, n):
+        done.get()
     if failures:
         i = min(failures)
         exc = failures[i]

@@ -20,7 +20,7 @@ from stencilpipe.pipeline import (BlockSchedule, PipelineConfig,
                                   instrumented_run, may_proceed,
                                   run_node_sweeps, trace_csv)
 from stencilpipe.kernel import update_region
-from stencilpipe.transport import Aborted
+from stencilpipe.transport import Aborted, run_group
 from stencilpipe.verify import compare, oracle
 
 
@@ -441,6 +441,38 @@ def test_numpy_sweep_runs_on_the_calling_thread(monkeypatch):
     g = allocate(d, "twogrid", pat)
     run_node_sweeps(g, cfg, 2)
     assert compare(oracle(d, pat, 6), g).bitwise
+
+
+def test_group_workers_stay_parked_and_bounded(monkeypatch):
+    # Node sweeps and loopback worlds start no thread once enough workers
+    # are parked, and no thread runs a member after a call.  A 2-rank,
+    # 2-thread world runs at most three members off the caller at once
+    # (rank 1 and each rank's pipe-1), so a warm-up group holding three
+    # workers at a barrier is all the pool ever needs here.
+    def members_running():
+        return [th.name for th in threading.enumerate()
+                if th.name.startswith(("pipe-", "rank-"))]
+
+    meet = threading.Barrier(4, timeout=5.0)
+    run_group(4, lambda i: meet.wait(), "grp", meet.abort, RuntimeError)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda th: (started.append(th.name), start(th)))
+    count = threading.active_count()
+    d = GridDims(16, 16, 16)
+    pat = FillPattern.random(43)
+    cfg = PipelineConfig(team_size=2, updates_per_thread=2)
+    g = allocate(d, "twogrid", pat)
+    for _ in range(50):
+        run_node_sweeps(g, cfg, 1)
+        assert not members_running()
+    assert compare(oracle(d, pat, 200), g).bitwise
+    for _ in range(3):
+        gathered, _ = run_distributed(d, pat, (2, 1, 1), cfg, outer_steps=2)
+        assert not members_running()
+    assert compare(oracle(d, pat, 8), gathered).bitwise
+    assert started == []
+    assert threading.active_count() == count
 
 
 def test_storage_mismatch_rejected():

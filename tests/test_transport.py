@@ -1,3 +1,5 @@
+import os
+import signal
 import struct
 import threading
 import time
@@ -118,14 +120,62 @@ def test_no_self_channel():
 def test_run_group_runs_member_0_on_the_caller():
     # Member 2 finishes first and member 0 last, so the results are in
     # member order, not in the order the members finished.
+    # Names are read inside the member: a worker parks under another name.
     def member(i):
         time.sleep(0.01 * (2 - i))
-        return i, threading.current_thread()
+        me = threading.current_thread()
+        return i, me, me.name
 
     results = run_group(3, member, "grp", lambda: None, RuntimeError)
-    assert [i for i, _ in results] == [0, 1, 2]
+    assert [i for i, _, _ in results] == [0, 1, 2]
     assert results[0][1] is threading.current_thread()
-    assert [th.name for _, th in results[1:]] == ["grp-1", "grp-2"]
+    assert results[1][1] is not results[2][1]
+    assert [name for _, _, name in results[1:]] == ["grp-1", "grp-2"]
+
+
+def test_run_group_reuses_the_worker_of_a_failed_member():
+    # A failing member does not kill its worker, and the worker parked
+    # last is the first taken, so the next group's member 1 runs on it.
+    failed = []
+
+    def fail_1(i):
+        if i == 1:
+            failed.append(threading.current_thread())
+            raise ValueError("boom in member 1")
+
+    with pytest.raises(RuntimeError, match="grp 1 failed"):
+        run_group(2, fail_1, "grp", lambda: None, RuntimeError)
+    results = run_group(2, lambda i: threading.current_thread(), "grp",
+                        lambda: None, RuntimeError)
+    assert results[1] is failed[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_group_runs_in_a_forked_child():
+    # Parked workers do not survive fork; the child must start its own
+    # instead of waiting on the parent's.
+    run_group(2, lambda i: i, "grp", lambda: None, RuntimeError)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(3)
+            if run_group(2, lambda i: i, "grp", lambda: None,
+                         RuntimeError) == [0, 1]:
+                status = 0
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's run_group did not return in 5 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_run_group_member_0_failure_aborts_the_others(run_bounded):
