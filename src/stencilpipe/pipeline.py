@@ -20,7 +20,9 @@ Python, and its mirror, the compiled ``gate``, in C.
 
 Under the ``c`` backend each node sweep is one
 :func:`~stencilpipe.transport.run_group` whose thread 0 is the calling
-thread, and each thread's sweep is one call of the compiled
+thread and whose threads 1 .. n-1 run on the group's parked workers, so
+a sweep starts no thread once enough are parked and leaves none running
+its members; each thread's sweep is one call of the compiled
 ``sweep_thread`` (:mod:`.kernel`), which holds no interpreter lock and
 gates, updates and counts every block in C.  A thread publishes its count
 with a release store after the block's writes and a gating thread reads
@@ -50,7 +52,7 @@ block is written, runs on one compiled :class:`~.kernel.Sweep` or in the
 numpy loop, and ends in :func:`_end_sweep`.  With one thread, one team
 and T levels a node sweep is the serial temporally blocked update, so
 the spatially blocked sweep (T=1) and the serial distributed outer step
-(T=h) are one-thread runs of it, which start no thread.
+(T=h) are one-thread runs of it, which use no worker.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ The loopback transport delivers byte-exact messages in FIFO order per
 process, which keeps multi-rank tests hermetic and deterministic.
 :func:`run_group` is the one fail-fast runner of concurrent members:
 the ranks of :func:`spawn_world` and the threads of a node pipeline.
+It keeps its workers parked between calls, as an OpenMP runtime keeps its
+team, and no thread runs a member once it returns.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class Aborted(Exception):
 
 
 # Parked workers, most recently parked last; each is the job queue its
-# daemon thread blocks on in _park.
+# daemon thread blocks on in _park.  A deque's append and pop are atomic,
+# so concurrent groups take and return workers without a lock.
 _idle: collections.deque = collections.deque()
 _IDLE_NAME = "group-idle"
 if hasattr(os, "register_at_fork"):
@@ -64,6 +67,8 @@ def _park(jobs: queue.SimpleQueue) -> None:
     while True:
         name, job, done = jobs.get()
         me.name = name
+        # A job that raises all the same still releases the caller, and
+        # its worker ends unlisted.
         try:
             job()
             del job

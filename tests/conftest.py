@@ -8,8 +8,9 @@ from stencilpipe import kernel
 @pytest.fixture
 def run_bounded():
     """Run ``fn()`` on a helper thread joined within 5 s and return the
-    exception it raised; it must raise, and leave no ``pipe-*`` or
-    ``rank-*`` thread behind."""
+    exception it raised; it must raise, and leave no thread running a
+    group member: group workers park under another name than ``pipe-*``
+    or ``rank-*``."""
 
     def run(fn):
         raised = []

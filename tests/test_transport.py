@@ -1,6 +1,7 @@
 import os
 import signal
 import struct
+import sys
 import threading
 import time
 
@@ -148,6 +149,48 @@ def test_run_group_reuses_the_worker_of_a_failed_member():
     results = run_group(2, lambda i: threading.current_thread(), "grp",
                         lambda: None, RuntimeError)
     assert results[1] is failed[0]
+
+
+def test_run_group_callers_share_the_pool():
+    # Eight callers on two cores, switching threads every microsecond, run
+    # groups whose five members meet at a barrier: a worker handed to two
+    # groups at once would break a barrier.  The pool never needs more
+    # than four workers per caller.
+    callers, n = 8, 5
+
+    def group(k):
+        meet = threading.Barrier(n, timeout=5.0)
+
+        def member(i):
+            meet.wait()
+            return k, i
+
+        return run_group(n, member, "grp", meet.abort, RuntimeError)
+
+    errors = []
+
+    def caller():
+        try:
+            for k in range(300):
+                assert group(k) == [(k, i) for i in range(n)]
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            errors.append(exc)
+
+    count = threading.active_count()
+    threads = [threading.Thread(target=caller, daemon=True)
+               for _ in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [th for th in threads if th.is_alive()]
+    assert errors == []
+    assert threading.active_count() <= count + callers * (n - 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
