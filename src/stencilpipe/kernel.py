@@ -1,8 +1,11 @@
 """The Jacobi region update and the serial sweep variants.
 
-``update_region`` evaluates the stencil over a box in numpy; the oracle
-(``sweep_naive``) and the numpy backend's node sweep, which runs every
-block on the calling thread, call it.
+``update_region`` evaluates the stencil over a box in numpy, a few z
+planes at a time (about ``_CHUNK`` cells, in two scratch buffers that fit
+in L2), so it streams its source and destination once and makes no
+temporary the size of the box; the oracle (``sweep_naive``) and the numpy
+backend's node sweep, which runs every block on the calling thread, call
+it.
 Under the ``c`` backend (``BACKEND == "c"``) the blocks of every other
 engine go through a compiled library instead.  The C source below is
 compiled at import with the system ``gcc`` for the host CPU
@@ -34,11 +37,17 @@ hash into a strided view for any logical box; ``FillPattern.fill`` calls
 it, while ``FillPattern.evaluate`` stays the numpy definition of the
 pattern.
 
-A compressed level passes two overlapping views of one array.  The C loop
-follows the ``memmove`` rule: it runs forward when ``dst <= src`` and in
-reverse on all three axes otherwise, so every cell is read before the
-write that lands on it; ``update_region`` builds its right-hand side
-before it writes.
+A compressed level passes two overlapping views of one array, whose
+starts lie one diagonal layer (z stride + y stride + one cell) apart.  Both
+bodies follow the ``memmove`` rule: the C loop runs forward when
+``dst <= src`` and in reverse on all three axes otherwise, and
+``update_region`` runs its chunks in ascending z when ``dst <= src`` and
+in descending z otherwise, each chunk reading all of its source before it
+writes.  So every cell is read before the write that lands on it as long
+as views that share memory start at least one z stride apart; closer
+views would read cells already written.  ``update_region`` refuses them
+before any write; the C loop is handed only the views of
+``pipeline._level_views``, which keep that distance, and does not check.
 
 ``sweep_naive`` is the correctness oracle for every other engine in the
 package; it runs ``update_region`` whatever the backend.
@@ -61,6 +70,7 @@ import numpy as np
 from .grid import GridError, TwoGrid
 
 ONE_SIXTH = 1.0 / 6.0
+_CHUNK = 1 << 15   # cells per numpy region chunk: two buffers fit in L2
 
 _SOURCE = r"""
 #include <sched.h>
@@ -421,10 +431,6 @@ _c_sweep, _c_fill, BUILD_FLAGS = _load()
 BACKEND = "numpy" if _c_sweep is None else "c"
 
 
-def _sh(s: slice, d: int) -> slice:
-    return slice(s.start + d, s.stop + d)
-
-
 def _check_region(src: np.ndarray, dst: np.ndarray, ghost: int, lo, hi) -> None:
     if src.dtype != np.float64 or dst.dtype != np.float64:
         raise GridError("region update needs float64 arrays")
@@ -446,19 +452,47 @@ def update_region(src: np.ndarray, dst: np.ndarray, ghost: int, lo, hi) -> None:
     An empty box is a no-op.  Otherwise the arrays must hold float64 with
     equal strides and unit x stride, and the box plus its one-cell
     neighbourhood must lie inside both; a violation raises
-    :class:`GridError` before anything is written.  The right-hand side is
-    built before it is written, so overlapping views are safe.
+    :class:`GridError` before anything is written.
+
+    The box is computed in chunks of whole z planes, about ``_CHUNK`` cells
+    each (one plane when a plane is larger), into two chunk-sized scratch
+    buffers, so no temporary as large as the box is made.  A chunk reads
+    all of its source before it writes.  Chunks run in ascending z when
+    ``dst`` starts at or below ``src`` in memory and in descending z
+    otherwise, the C loop's ``memmove`` rule, so views of one array whose
+    starts lie at least one z stride apart (a compressed level's) are safe.
+    Views that may share memory and start less than one z stride apart,
+    ``src is dst`` included, raise :class:`GridError` before any write.
     """
     if any(h <= l for l, h in zip(lo, hi)):
         return
     _check_region(src, dst, ghost, lo, hi)
-    cz, cy, cx = center = tuple(slice(l + ghost, h + ghost)
-                                for l, h in zip(lo, hi))
-    dst[center] = (
-        (src[cz, cy, _sh(cx, -1)] + src[cz, cy, _sh(cx, 1)])
-        + (src[cz, _sh(cy, -1), cx] + src[cz, _sh(cy, 1), cx])
-        + (src[_sh(cz, -1), cy, cx] + src[_sh(cz, 1), cy, cx])
-    ) * ONE_SIXTH
+    gap = 0
+    if np.may_share_memory(src, dst):
+        gap = (dst.__array_interface__["data"][0]
+               - src.__array_interface__["data"][0])
+        if abs(gap) < abs(src.strides[0]):
+            raise GridError(f"region update views start {gap} bytes apart, "
+                            f"less than one z stride ({src.strides[0]})")
+    (z0, y0, x0), (z1, y1, x1) = ([v + ghost for v in lo],
+                                  [v + ghost for v in hi])
+    cy, cx = slice(y0, y1), slice(x0, x1)
+    ym, yp = slice(y0 - 1, y1 - 1), slice(y0 + 1, y1 + 1)
+    xm, xp = slice(x0 - 1, x1 - 1), slice(x0 + 1, x1 + 1)
+    k = max(1, min(z1 - z0, _CHUNK // ((y1 - y0) * (x1 - x0))))
+    acc = np.empty((k, y1 - y0, x1 - x0))
+    tmp = np.empty_like(acc)
+    starts = range(z0, z1, k)
+    for z in reversed(starts) if gap > 0 else starts:
+        n = min(k, z1 - z)
+        a, t, cz = acc[:n], tmp[:n], slice(z, z + n)
+        np.add(src[cz, cy, xm], src[cz, cy, xp], out=a)
+        np.add(src[cz, ym, cx], src[cz, yp, cx], out=t)
+        a += t
+        np.add(src[z - 1:z + n - 1, cy, cx], src[z + 1:z + n + 1, cy, cx],
+               out=t)
+        a += t
+        np.multiply(a, ONE_SIXTH, out=dst[cz, cy, cx])
 
 
 def sweep_naive(grid: TwoGrid) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -294,3 +296,127 @@ def test_empty_box_is_a_no_op():
                    ((9, 9, 9), (9, 9, 9))):
         update_region(g.current, g.other, 1, lo, hi)
     assert g.other.tobytes() == before
+
+
+def _reference_region(src, dst, ghost, lo, hi):
+    """The one-expression region body: the whole right-hand side is built
+    in temporaries before anything is written."""
+    def sh(s, d):
+        return slice(s.start + d, s.stop + d)
+
+    cz, cy, cx = c = tuple(slice(l + ghost, h + ghost) for l, h in zip(lo, hi))
+    dst[c] = ((src[cz, cy, sh(cx, -1)] + src[cz, cy, sh(cx, 1)])
+              + (src[cz, sh(cy, -1), cx] + src[cz, sh(cy, 1), cx])
+              + (src[sh(cz, -1), cy, cx] + src[sh(cz, 1), cy, cx])
+              ) * kernel.ONE_SIXTH
+
+
+@st.composite
+def _region_cases(draw):
+    """(arrays, views, ghost, lo, hi, chunk): the arrays the views lie in,
+    a function that turns those arrays into (src, dst), a box whose stencil
+    neighbourhood fits both views, and the ``_CHUNK`` to run with (None for
+    the module's own)."""
+    ghost = draw(st.integers(1, 3))
+    interior = draw(st.one_of(
+        st.tuples(*(st.integers(1, 7) for _ in range(3))),
+        st.tuples(st.integers(1, 3), st.just(190), st.just(190))))
+    shape = tuple(n + 2 * ghost for n in interior)
+    mode = draw(st.sampled_from(["a->b", "b->a", "up", "down"]))
+    if mode in ("a->b", "b->a"):
+        arrays = 2
+        order = (0, 1) if mode == "a->b" else (1, 0)
+
+        def views(arr):
+            return arr[order[0]], arr[order[1]]
+        n_view = shape
+    else:
+        # Compressed storage: two views of one array one diagonal layer
+        # apart; "up" writes the view that starts later in memory.
+        arrays = 1
+        shape = tuple(n + 1 for n in shape)
+        lower = (slice(None, -1),) * 3
+        upper = (slice(1, None),) * 3
+
+        def views(arr):
+            pair = (arr[0][lower], arr[0][upper])
+            return pair if mode == "up" else pair[::-1]
+        n_view = tuple(n - 1 for n in shape)
+    lo, hi = [], []
+    for n in n_view:
+        a, b = sorted(draw(st.lists(st.integers(1 - ghost, n - ghost - 1),
+                                    min_size=2, max_size=2, unique=True)))
+        lo.append(a)
+        hi.append(b)
+    plane = (hi[1] - lo[1]) * (hi[2] - lo[2])
+    chunk = draw(st.sampled_from([None, 1, 7, 97, plane - 1, plane, plane + 1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return ([rng.random(shape) for _ in range(arrays)], views, ghost,
+            tuple(lo), tuple(hi), chunk)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_region_cases())
+def test_update_region_matches_one_expression_body(case, monkeypatch):
+    # The chunked body against the one-expression body, bitwise, over the
+    # whole arrays: ragged last chunks, one-plane chunks, planes larger
+    # than a chunk, and both chunk orders on overlapping views.
+    arrays, views, ghost, lo, hi, chunk = case
+    if chunk is not None:
+        monkeypatch.setattr(kernel, "_CHUNK", max(chunk, 1))
+    expected = [a.copy() for a in arrays]
+    _reference_region(*views(expected), ghost, lo, hi)
+    update_region(*views(arrays), ghost, lo, hi)
+    for got, want in zip(arrays, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def _offset_views(data, offset):
+    """(src, dst): two 8x8x8 views of the flat ``data`` whose starts lie
+    ``offset`` elements apart; one view twice when ``offset`` is 0."""
+    src = data[512:1024].reshape(8, 8, 8)
+    dst = data[512 + offset:1024 + offset].reshape(8, 8, 8)
+    return src, (src if offset == 0 else dst)
+
+
+@pytest.mark.parametrize("offset", [0, 1, -1, 8, -8, 63, -63])
+def test_views_less_than_a_plane_apart_raise_before_any_write(offset):
+    # Chunks read their source a few planes at a time, so dst may not start
+    # less than one z stride (64 elements) from src in the same memory:
+    # src is dst, one x cell off, one row off, one cell short of a plane.
+    data = np.random.default_rng(4).random(3 * 512)
+    before = data.tobytes()
+    with pytest.raises(GridError, match="z stride"):
+        update_region(*_offset_views(data, offset), 1, (0, 0, 0), (6, 6, 6))
+    assert data.tobytes() == before
+
+
+@pytest.mark.parametrize("offset", [73, -73, 64, -64])
+def test_views_a_plane_or_more_apart_are_exact(offset, monkeypatch):
+    # A compressed level writes the view one diagonal layer past or before
+    # the one it reads, 64 + 8 + 1 elements apart; one whole plane apart is
+    # the closest that is accepted.  One-plane chunks make every chunk
+    # boundary a place where the wrong order would read a written cell.
+    monkeypatch.setattr(kernel, "_CHUNK", 1)
+    data = np.random.default_rng(4).random(3 * 512)
+    expected = data.copy()
+    _reference_region(*_offset_views(expected, offset), 1, (0, 0, 0), (6, 6, 6))
+    update_region(*_offset_views(data, offset), 1, (0, 0, 0), (6, 6, 6))
+    assert data.tobytes() == expected.tobytes()
+
+
+def test_naive_sweep_allocates_no_full_size_temporary():
+    # A 64^3 grid holds 2.2 MB per array; the region body's scratch is two
+    # chunks of about _CHUNK cells, so one sweep stays far below 1 MB.
+    g = allocate(GridDims(64, 64, 64), "twogrid", FillPattern.random(6))
+    sweep_naive(g)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_naive(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"one 64^3 naive sweep peaked at {peak / 1e6:.2f} MB"
