@@ -364,11 +364,13 @@ def test_update_region_matches_one_expression_body(case, monkeypatch):
     # whole arrays: ragged last chunks, one-plane chunks, planes larger
     # than a chunk, and both chunk orders on overlapping views.
     arrays, views, ghost, lo, hi, chunk = case
-    if chunk is not None:
-        monkeypatch.setattr(kernel, "_CHUNK", max(chunk, 1))
     expected = [a.copy() for a in arrays]
     _reference_region(*views(expected), ghost, lo, hi)
-    update_region(*views(arrays), ghost, lo, hi)
+    # The fixture lives across examples, so each example undoes its patch.
+    with monkeypatch.context() as m:
+        if chunk is not None:
+            m.setattr(kernel, "_CHUNK", max(chunk, 1))
+        update_region(*views(arrays), ghost, lo, hi)
     for got, want in zip(arrays, expected):
         assert got.tobytes() == want.tobytes()
 
